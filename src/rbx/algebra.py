@@ -83,6 +83,8 @@ class SamplePlan:
     def __post_init__(self):
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown sample mode {self.mode!r}")
+        if self.mode == "random" and self.trials < 1:
+            raise ValueError(f"a random plan needs at least one trial, got {self.trials}")
 
     def singles(self, alg: RBAlgebra):
         if self.mode == "exhaustive":

@@ -146,8 +146,8 @@ class SuiteConfig:
             raise ConfigError(f"alphabet size must be in 1..9, got {self.alphabet}")
         if not 1 <= self.bs_arity <= 6:
             raise ConfigError(f"bs-arity must be in 1..6, got {self.bs_arity}")
-        if self.trials < 0:
-            raise ConfigError(f"trials must be nonnegative, got {self.trials}")
+        if self.trials < 1:
+            raise ConfigError(f"trials must be at least 1, got {self.trials}")
         if self.format not in ("text", "json"):
             raise ConfigError(f"format must be text or json, got {self.format!r}")
 
@@ -727,8 +727,11 @@ def _suite_flows_bch(cfg: SuiteConfig, registry: dict) -> list:
         rng = random.Random(cfg.seed)
         pairs += [(alg.random_element(rng), alg.random_element(rng)) for _ in range(20)]
         for i, (x, y) in enumerate(pairs):
-            checks.append(_tag(check_flows_bch(alg, x, y, bch_order), f"p{i}"))
-            checks.append(_tag(check_flows_product_law(alg, x, y, law_order), f"p{i}"))
+            # one Magnus series per operand, shared by both checks
+            omega_x = prelie_magnus(alg, x, bch_order).omega
+            omega_y = prelie_magnus(alg, y, max(bch_order, law_order)).omega
+            checks.append(_tag(check_flows_bch(alg, x, y, bch_order, omega_x, omega_y), f"p{i}"))
+            checks.append(_tag(check_flows_product_law(alg, x, y, law_order, omega_y), f"p{i}"))
     return checks
 
 
@@ -766,7 +769,7 @@ def _suite_yang_baxter(cfg: SuiteConfig, registry: dict) -> list:
 def _suite_standard_symmetric(cfg: SuiteConfig, registry: dict) -> list:
     checks = []
     window = cfg.window
-    ks = sorted({3, window // 2 + 1, window - 1})
+    ks = sorted({min(3, window - 1), window // 2 + 1, window - 1})
     for n in range(1, 5):
         for k in ks:
             checks.append(elementary_symmetric_check(n, k, window, DEGREE_CAP))

@@ -13,7 +13,9 @@ Conventions fixed here once:
 * the Magnus recursion is Omega = lambda z + sum_n ((-1)^n B_n / n!)
   ell^n_{Omega |>}(lambda z). The commutative closed form
   theta^{-1} log(1 + theta F) pins the sign convention; the recursion
-  reproduces it exactly (checked coefficientwise by spitzer checks).
+  reproduces it exactly (checked coefficientwise by spitzer checks). The
+  towers ell^n fill in grade by grade, each entry once: tower n vanishes
+  below grade n + 1 and grade k reads Omega only below k.
 * the flows composition is implemented so that the solution map is a
   homomorphism: solve(x # y) = solve(x) solve(y). With left fixed points
   f = 1 + lambda R(fx) this forces x # y = y + exp(-ell_{Omega'(y) |>})(x);
@@ -63,8 +65,6 @@ __all__ = [
 
 SIDE_LEFT = "left-R"
 SIDE_RIGHT = "right-Rtilde"
-
-BS_FORMS = ("commutative-partitions", "cycles-prelie", "weight-zero")
 
 
 def _constant_source(alg: RBAlgebra, x, order: int) -> LambdaSeries:
@@ -225,37 +225,47 @@ class MagnusExpansion:
     weight: Fraction
 
 
-def _apply_prelie_series(alg: RBAlgebra, w: LambdaSeries, t: LambdaSeries) -> LambdaSeries:
-    """Grade g of w |> t, using only w grades >= 1."""
-    out = []
-    for g in range(t.order + 1):
-        acc = alg.zero
-        for i in range(1, g + 1):
-            acc = acc + prelie_left(alg, w.coefficient(i), t.coefficient(g - i))
-        out.append(acc)
-    return LambdaSeries(alg, tuple(out))
+def _prelie_grade(alg: RBAlgebra, w, t, g: int, low: int):
+    """Grade g of w |> t from coefficient sequences, reading w from grade 1,
+    where t vanishes below grade low: only i = 1 .. g - low contribute."""
+    acc = alg.zero
+    for i in range(1, g - low + 1):
+        acc = acc + prelie_left(alg, w[i], t[g - i])
+    return acc
+
+
+def _apply_prelie_series(
+    alg: RBAlgebra, w: LambdaSeries, t: LambdaSeries, low: int = 0
+) -> LambdaSeries:
+    """w |> t, using only w grades >= 1, where t vanishes below grade low.
+
+    The result vanishes below grade low + 1, and those grades are not computed.
+    """
+    top = t.order + 1
+    out = [alg.zero] * min(low + 1, top)
+    out += [_prelie_grade(alg, w.coeffs, t.coeffs, g, low) for g in range(low + 1, top)]
+    return LambdaSeries(alg, out)
 
 
 def prelie_magnus_of_series(alg: RBAlgebra, z: LambdaSeries, order: int) -> LambdaSeries:
     """Omega = lambda z + sum_{n>0} ((-1)^n B_n / n!) ell^n_{Omega |>}(lambda z).
 
-    Grade k of the ell^n term pairs Omega grades >= 1 with a lambda z grade
-    >= 1, so it only reads Omega below grade k: the recursion is well founded
-    and each coefficient is independent of the truncation order.
+    The towers tower[n] = ell^n_{Omega |>}(lambda z) fill in grade by grade:
+    tower[n][k] = sum_{i=1..k-n} omega_i |> tower[n-1][k-i], since tower n
+    vanishes below grade n + 1. Grade k of every tower reads Omega only below
+    grade k, so the recursion is well founded, each tower entry is computed
+    once, and each coefficient is independent of the truncation order.
     """
-    lam_z = LambdaSeries(
-        alg, tuple([alg.zero] + [z.coefficient(k) for k in range(order)])
-    )
+    lam_z = [alg.zero] + [z.coefficient(k) for k in range(order)]
+    weights = [Fraction((-1) ** n) * bernoulli(n) / math.factorial(n) for n in range(order)]
     omega = [alg.zero]
+    towers = [lam_z] + [[alg.zero] * (order + 1) for _ in range(1, order)]
     for k in range(1, order + 1):
-        acc = lam_z.coefficient(k)
-        partial = LambdaSeries(alg, tuple(omega + [alg.zero] * (order + 1 - len(omega))))
-        tower = lam_z
+        acc = lam_z[k]
         for n in range(1, k):
-            tower = _apply_prelie_series(alg, partial, tower)
-            c = Fraction((-1) ** n) * bernoulli(n) / math.factorial(n)
-            if c:
-                acc = acc + c * tower.coefficient(k)
+            entry = towers[n][k] = _prelie_grade(alg, omega, towers[n - 1], k, n)
+            if weights[n]:
+                acc = acc + weights[n] * entry
         omega.append(acc)
     return LambdaSeries(alg, tuple(omega))
 
@@ -503,26 +513,35 @@ def bch_series(alg: RBAlgebra, a, b, order: int, product: str = "carrier") -> La
 # the flows composition
 
 
-def flows_product(alg: RBAlgebra, x, y, order: int) -> LambdaSeries:
+def flows_product(
+    alg: RBAlgebra, x, y, order: int, omega_y: LambdaSeries | None = None
+) -> LambdaSeries:
     """The source z = x # y with solve(z) = solve(x) solve(y).
 
     z = y + exp(-ell_{Omega'(y) |>})(x), returned as a source series whose
-    grade-0 coefficient is x + y.
+    grade-0 coefficient is x + y. omega_y, when given, is Omega'(y) at any
+    order >= order. Term k of the exponential vanishes below grade k.
     """
-    omega_y = prelie_magnus(alg, y, order).omega
+    if omega_y is None:
+        omega_y = prelie_magnus(alg, y, order).omega
     term = _constant_source(alg, x, order)
     acc = term
     for k in range(1, order + 1):
-        term = _apply_prelie_series(alg, omega_y, term)
+        term = _apply_prelie_series(alg, omega_y, term, k - 1)
         acc = acc + Fraction((-1) ** k, math.factorial(k)) * term
     return acc + _constant_source(alg, y, order)
 
 
-def check_flows_product_law(alg: RBAlgebra, x, y, order: int) -> CheckResult:
-    """solve(x # y) = solve(x) solve(y) coefficientwise."""
+def check_flows_product_law(
+    alg: RBAlgebra, x, y, order: int, omega_y: LambdaSeries | None = None
+) -> CheckResult:
+    """solve(x # y) = solve(x) solve(y) coefficientwise.
+
+    omega_y, when given, is Omega'(y) at any order >= order.
+    """
     name = f"flows-product/{alg.name}/N={order}"
     anchor = "Eq. (pLMag)"
-    z = flows_product(alg, x, y, order)
+    z = flows_product(alg, x, y, order, omega_y)
     lhs = solve_fixed_point_series(alg, z, SIDE_LEFT, order)
     rhs = solve_fixed_point(alg, x, SIDE_LEFT, order) * solve_fixed_point(alg, y, SIDE_LEFT, order)
     miss = _first_mismatch(lhs, rhs)
@@ -532,18 +551,28 @@ def check_flows_product_law(alg: RBAlgebra, x, y, order: int) -> CheckResult:
     return CheckResult.ok(name, anchor)
 
 
-def check_flows_bch(alg: RBAlgebra, x, y, order: int) -> CheckResult:
-    """Omega'(x # y) = BCH of Omega'(x), Omega'(y) in the double product."""
+def check_flows_bch(
+    alg: RBAlgebra,
+    x,
+    y,
+    order: int,
+    omega_x: LambdaSeries | None = None,
+    omega_y: LambdaSeries | None = None,
+) -> CheckResult:
+    """Omega'(x # y) = BCH of Omega'(x), Omega'(y) in the double product.
+
+    omega_x and omega_y, when given, are Omega'(x) and Omega'(y) at any
+    order >= order; their coefficients do not depend on the order.
+    """
     name = f"flows-bch/{alg.name}/N={order}"
     anchor = "Eq. (pLMag)"
-    z = flows_product(alg, x, y, order)
+    if omega_x is None:
+        omega_x = prelie_magnus(alg, x, order).omega
+    if omega_y is None:
+        omega_y = prelie_magnus(alg, y, order).omega
+    z = flows_product(alg, x, y, order, omega_y)
     lhs = prelie_magnus_of_series(alg, z, order)
-    rhs = bch_of_series(
-        alg,
-        prelie_magnus(alg, x, order).omega,
-        prelie_magnus(alg, y, order).omega,
-        "double",
-    )
+    rhs = bch_of_series(alg, omega_x.truncate(order), omega_y.truncate(order), "double")
     miss = _first_mismatch(lhs, rhs)
     if miss:
         k, a, b = miss

@@ -56,6 +56,12 @@ class LambdaSeries:
     def coefficient(self, k: int):
         return self.coeffs[k]
 
+    def truncate(self, order: int) -> "LambdaSeries":
+        """The same series cut at a lower (or equal) order."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate order {self.order} to {order}")
+        return LambdaSeries(self.carrier, self.coeffs[: order + 1])
+
     def _match(self, other: "LambdaSeries") -> None:
         if self.carrier is not other.carrier:
             raise ValueError("series carriers differ")
@@ -93,47 +99,56 @@ class LambdaSeries:
         return "LambdaSeries[" + "; ".join(str(c) for c in self.coeffs) + "]"
 
 
-def series_mul(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
-    """Cauchy product truncated at the common order."""
+def series_mul(a: LambdaSeries, b: LambdaSeries, low_a: int = 0, low_b: int = 0) -> LambdaSeries:
+    """Cauchy product truncated at the common order.
+
+    a vanishes below grade low_a and b below grade low_b, so the product
+    vanishes below low_a + low_b; only the grades and terms that can be
+    nonzero are computed.
+    """
     a._match(b)
     n = a.order
-    out = []
-    for k in range(n + 1):
-        acc = a.carrier.zero
-        for i in range(k + 1):
+    zero = a.carrier.zero
+    out = [zero] * min(low_a + low_b, n + 1)
+    for k in range(low_a + low_b, n + 1):
+        acc = zero
+        for i in range(low_a, k - low_b + 1):
             acc = acc + a.coeffs[i] * b.coeffs[k - i]
         out.append(acc)
     return LambdaSeries(a.carrier, out)
+
+
+def _power_sum(u: LambdaSeries, head, scale) -> LambdaSeries:
+    """head + sum_{k=1..N} scale(k) u^k for u with zero constant term.
+
+    u^k vanishes below grade k, so each power is multiplied out from grade k
+    and adds only to grades k..N.
+    """
+    n = u.order
+    out = [head] + [u.carrier.zero] * n
+    power = u
+    for k in range(1, n + 1):
+        c = scale(k)
+        for g in range(k, n + 1):
+            out[g] = out[g] + c * power.coeffs[g]
+        if k < n:
+            power = series_mul(power, u, k, 1)
+    return LambdaSeries(u.carrier, out)
 
 
 def series_log(a: LambdaSeries) -> LambdaSeries:
     """log(a) = sum_{k>=1} (-1)^{k+1} (a-1)^k / k, requires a_0 = 1."""
     if a.coeffs[0] != a.carrier.one:
         raise ValueError("series_log needs unit constant term")
-    n = a.order
-    u = a - LambdaSeries.one(a.carrier, n)
-    out = LambdaSeries.zero(a.carrier, n)
-    power = u
-    for k in range(1, n + 1):
-        sign = 1 if k % 2 == 1 else -1
-        out = out + Fraction(sign, k) * power
-        if k < n:
-            power = power * u
-    return out
+    u = a - LambdaSeries.one(a.carrier, a.order)
+    return _power_sum(u, a.carrier.zero, lambda k: Fraction(1 if k % 2 == 1 else -1, k))
 
 
 def series_exp(a: LambdaSeries) -> LambdaSeries:
     """exp(a) = sum_{k>=0} a^k / k!, requires a_0 = 0."""
     if a.coeffs[0] != a.carrier.zero:
         raise ValueError("series_exp needs zero constant term")
-    n = a.order
-    out = LambdaSeries.one(a.carrier, n)
-    power = a
-    for k in range(1, n + 1):
-        out = out + Fraction(1, math.factorial(k)) * power
-        if k < n:
-            power = power * a
-    return out
+    return _power_sum(a, a.carrier.one, lambda k: Fraction(1, math.factorial(k)))
 
 
 def series_inverse(a: LambdaSeries) -> LambdaSeries:

@@ -8,6 +8,7 @@ B_1 = -1/2), where the commutative closed form theta^-1 log(1 + theta x) fixes
 every sign.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -223,6 +224,11 @@ def test_criterion_11_negative_control(capsys):
     assert any("lhs=" in c["counterexample"] for c in failing)
 
 
+# sha256 of the seed-42 `--suite all` body (sorted keys, elapsed_ms removed):
+# the regression oracle. A change meant to alter results updates it and says so.
+ALL_SEED_42_SHA256 = "dda65ddf53b344be7a8292c4d6ca4a6a6fb36f38ea262e4bb79519f6b5a76c75"
+
+
 def test_criterion_12_byte_identical_reports(capsys):
     argv = ["verify", "--suite", "all", "--seed", "42", "--format", "json"]
 
@@ -236,3 +242,4 @@ def test_criterion_12_byte_identical_reports(capsys):
     rc2, body2, _ = one_run()
     assert rc1 == rc2 == 0
     assert body1.encode() == body2.encode()
+    assert hashlib.sha256(body1.encode()).hexdigest() == ALL_SEED_42_SHA256

@@ -35,6 +35,12 @@ class TestSamplePlan:
         with pytest.raises(ValueError):
             SamplePlan("all-of-them")
 
+    def test_random_plan_refuses_an_empty_sample(self):
+        for trials in (0, -1):
+            with pytest.raises(ValueError):
+                SamplePlan("random", trials=trials)
+        assert SamplePlan("exhaustive", trials=0).pairs(matrix_algebra(2))
+
     def test_exhaustive_counts(self):
         alg = matrix_algebra(2)
         assert len(EX.pairs(alg)) == 16

@@ -1,6 +1,9 @@
 """Command line parsing, suite orchestration, report emission, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -88,6 +91,7 @@ class TestSuiteConfigValidation:
             ("bs_arity", 0),
             ("bs_arity", 7),
             ("trials", -1),
+            ("trials", 0),
             ("format", "yaml"),
         ],
     )
@@ -173,6 +177,36 @@ class TestMain:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:")
+
+    def test_exit_two_on_zero_trials(self, capsys):
+        # an empty random sample would report every law as PASS unchecked
+        rc = main(["verify", "--suite", "rb-laws", "--trials", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:")
+        assert "PASS" not in captured.out
+
+    def test_smallest_accepted_window_runs(self, capsys):
+        window = 3
+        with pytest.raises(ConfigError):
+            SuiteConfig(window=window - 1)
+        rc = main(["verify", "--suite", "standard-symmetric", "--window", str(window)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "failed: 0" in out
+
+    def test_module_entry_point_imports_cli_once(self):
+        import rbx
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rbx.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "rbx.cli",
+             "verify", "--suite", "shuffle"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_exit_two_on_unwritable_output(self, tmp_path, capsys):
         target = tmp_path / "missing" / "report.json"

@@ -1,0 +1,163 @@
+"""Differential tests: the grade-aware series layer against the plain one.
+
+The Magnus towers, the flows composition and series log/exp skip every
+coefficient they know to be zero and compute each tower entry once. The
+functions in ``reference_series`` rebuild everything from grade 0; both must
+give the same coefficients at every truncation order N = 1..8 on the matrix,
+Laurent, summation and both standard carriers.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import reference_series as ref
+from rbx import (
+    LambdaSeries,
+    LaurentElement,
+    RatMatrix,
+    SuiteConfig,
+    check_flows_bch,
+    check_flows_product_law,
+    flows_product,
+    prelie_magnus,
+    solve_fixed_point,
+)
+from rbx import identities
+from rbx.cli import default_models
+from rbx.identities import _apply_prelie_series, prelie_magnus_of_series
+from rbx.series import series_exp, series_log, series_mul
+
+ORDERS = range(1, 9)
+REGISTRY = default_models(SuiteConfig(order=8))
+
+
+def _sources(name):
+    """Two source elements per carrier, small enough for order-8 towers."""
+    alg = REGISTRY[name]
+    rng = random.Random(5)
+    if name == "matrix":
+        x = RatMatrix.unit(3, 1, 2) + RatMatrix.unit(3, 2, 1)
+        return alg, x, alg.random_element(rng)
+    if name == "laurent":
+        probe = alg.zero
+        x = LaurentElement({-1: 1, 0: 1}, probe.pole_bound, probe.trunc)
+        y = LaurentElement({-1: Fraction(1, 2), 1: -2}, probe.pole_bound, probe.trunc)
+        return alg, x, y
+    if name.startswith("standard"):
+        return alg, alg.one + alg.basis[1], alg.basis[2] - Fraction(1, 3) * alg.basis[1]
+    return alg, alg.random_element(rng), alg.random_element(rng)
+
+
+CARRIERS = ("matrix", "laurent", "summation", "standard-comm", "standard-nc")
+
+
+def _mixed_source(alg, x, y, order):
+    """A source with every grade nonzero: x, y, x, y, ..."""
+    return LambdaSeries(alg, tuple(x if k % 2 == 0 else y for k in range(order + 1)))
+
+
+@pytest.mark.parametrize("name", CARRIERS)
+def test_magnus_matches_the_reference(name):
+    alg, x, y = _sources(name)
+    for n in ORDERS:
+        assert prelie_magnus(alg, x, n).omega == ref.prelie_magnus(alg, x, n).omega, n
+    z = _mixed_source(alg, x, y, 8)
+    for n in ORDERS:
+        got = prelie_magnus_of_series(alg, z, n)
+        assert got == ref.prelie_magnus_of_series(alg, z, n), n
+
+
+@pytest.mark.parametrize("name", CARRIERS)
+def test_flows_product_matches_the_reference(name):
+    alg, x, y = _sources(name)
+    omega_y = prelie_magnus(alg, y, 8).omega
+    for n in ORDERS:
+        want = ref.flows_product(alg, x, y, n)
+        assert flows_product(alg, x, y, n) == want, n
+        # a Magnus series of higher order gives the same product
+        assert flows_product(alg, x, y, n, omega_y) == want, n
+
+
+@pytest.mark.parametrize("name", CARRIERS)
+def test_log_and_exp_match_the_reference(name):
+    alg, x, y = _sources(name)
+    for n in ORDERS:
+        f = solve_fixed_point(alg, x, order=n)
+        assert series_log(f) == ref.series_log(f), n
+        u = _mixed_source(alg, x, y, n) - LambdaSeries.term(alg, 0, x, n)
+        assert series_exp(u) == ref.series_exp(u), n
+        assert series_log(series_exp(u)) == u, n
+
+
+@pytest.mark.parametrize("name", CARRIERS)
+def test_prelie_series_grade_skip_matches_the_reference(name):
+    alg, x, y = _sources(name)
+    w = _mixed_source(alg, x, y, 6)
+    for low in range(8):
+        t = LambdaSeries(alg, tuple(alg.zero if k < low else (x, y)[k % 2] for k in range(7)))
+        got = _apply_prelie_series(alg, w, t, low)
+        assert got == ref._apply_prelie_series(alg, w, t), low
+        assert got.order == 6
+
+
+def test_series_mul_grade_skip_matches_the_full_product():
+    alg, x, y = _sources("matrix")
+    for low_a in range(4):
+        for low_b in range(4):
+            a = LambdaSeries(alg, tuple(alg.zero if k < low_a else x for k in range(6)))
+            b = LambdaSeries(alg, tuple(alg.zero if k < low_b else y for k in range(6)))
+            assert series_mul(a, b, low_a, low_b) == series_mul(a, b)
+
+
+def test_truncate():
+    alg, x, y = _sources("matrix")
+    s = _mixed_source(alg, x, y, 5)
+    assert s.truncate(5) == s
+    assert s.truncate(2) == LambdaSeries(alg, (x, y, x))
+    with pytest.raises(ValueError):
+        s.truncate(6)
+
+
+def _count_prelie(monkeypatch, module) -> list:
+    calls = [0]
+    inner = module.prelie_left
+
+    def counted(alg, a, b):
+        calls[0] += 1
+        return inner(alg, a, b)
+
+    monkeypatch.setattr(module, "prelie_left", counted)
+    return calls
+
+
+def test_magnus_computes_each_tower_entry_once(monkeypatch):
+    # tower n contributes grades n+1..N, each a sum of k - n products:
+    # sum_k k(k-1)/2 = C(N+1, 3) pre-Lie calls, against 1008 at N = 8 before
+    alg, x, _ = _sources("matrix")
+    calls = _count_prelie(monkeypatch, identities)
+    prelie_magnus(alg, x, 8)
+    assert calls[0] == 84
+    old = _count_prelie(monkeypatch, ref)
+    ref.prelie_magnus(alg, x, 8)
+    assert old[0] == 1008
+
+
+def test_flows_checks_reuse_the_given_magnus_series(monkeypatch):
+    alg, x, y = _sources("matrix")
+    omega_x = prelie_magnus(alg, x, 3).omega
+    omega_y = prelie_magnus(alg, y, 4).omega
+    magnus_calls = [0]
+    inner = identities.prelie_magnus
+
+    def counted(*args):
+        magnus_calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(identities, "prelie_magnus", counted)
+    assert check_flows_bch(alg, x, y, 3, omega_x, omega_y).status == "pass"
+    assert check_flows_product_law(alg, x, y, 4, omega_y).status == "pass"
+    assert magnus_calls[0] == 0
+    assert check_flows_bch(alg, x, y, 3).status == "pass"
+    assert magnus_calls[0] == 2
