@@ -4,6 +4,12 @@ Flags override config-file values override defaults. Exit code 0 when every
 check passes, 1 when any check fails, 2 for configuration errors (bad flags,
 out-of-range bounds, suite/model mismatches, pole-bound overflows).
 
+Two declarations drive the suites. The model registry `_MODELS` gives each
+carrier its factory, canonical source and sparse random operand. Each suite
+registers with `@_suite`, naming the models `--model` may pick for it and
+whether its identities hold at any weight; `_select` then applies `--model`
+and `--weight` the same way for every suite.
+
 Model carriers are sized from the requested order so that no intermediate of
 any suite computation can hit a truncation bound; the bounds exist to catch
 misconfiguration loudly, not to approximate.
@@ -12,15 +18,16 @@ misconfiguration loudly, not to approximate.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import random
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from typing import Callable
 
 from .algebra import (
-    RBAlgebra,
     SamplePlan,
     check_double_assoc_and_hom,
     check_linearity,
@@ -46,6 +53,7 @@ from .combinat import (
 from .errors import ConfigError
 from .identities import (
     BSOperands,
+    atkinson_lemma,
     bogoliubov_decompose,
     check_atkinson,
     check_bogoliubov,
@@ -86,38 +94,13 @@ from .yangbaxter import (
     tensor_rb_algebra,
 )
 
-SUITES = (
-    "rb-laws",
-    "shuffle",
-    "quasi-shuffle",
-    "dendriform",
-    "prelie",
-    "spitzer",
-    "nc-spitzer",
-    "magnus",
-    "bohnenblust-spitzer",
-    "atkinson",
-    "bogoliubov",
-    "flows-bch",
-    "yang-baxter",
-    "standard-symmetric",
-)
-
-MODELS = (
-    "standard-comm",
-    "standard-nc",
-    "laurent",
-    "matrix",
-    "integration",
-    "summation",
-    "words",
-)
-
 DEGREE_CAP = 8
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """One `rbx verify` run. SUITES and MODELS come from the tables below."""
+
     suite: str = "all"
     model: str | None = None
     order: int = 6
@@ -155,7 +138,8 @@ class SuiteConfig:
 # ---------------------------------------------------------------------------
 # configuration parsing
 
-_INT_KEYS = ("order", "window", "dim", "alphabet", "bs_arity", "trials", "seed")
+_KEYS = tuple(f.name for f in fields(SuiteConfig))
+_INT_KEYS = tuple(f.name for f in fields(SuiteConfig) if f.type == "int")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -166,14 +150,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", choices=SUITES + ("all",))
     v.add_argument("--model", choices=MODELS)
-    v.add_argument("--order", type=int)
-    v.add_argument("--window", type=int)
-    v.add_argument("--dim", type=int)
-    v.add_argument("--weight", help="rescale operators to this weight, e.g. 2/3")
-    v.add_argument("--alphabet", type=int)
-    v.add_argument("--bs-arity", type=int, dest="bs_arity")
-    v.add_argument("--trials", type=int)
-    v.add_argument("--seed", type=int)
+    v.add_argument("--weight", help="rescale operators to this weight, e.g. 2/3 or --weight=-1/2")
+    for key in _INT_KEYS:
+        v.add_argument("--" + key.replace("_", "-"), type=int)
     v.add_argument("--format", choices=("text", "json"))
     v.add_argument("--output")
     v.add_argument("--config", help="flat key=value file; flags override it")
@@ -200,25 +179,15 @@ def _read_config_file(path: str) -> dict:
 def parse_config(argv) -> SuiteConfig:
     ns = _build_parser().parse_args(argv)
     merged = {}
-    if ns.config:
-        file_values = _read_config_file(ns.config)
-        for key, text in file_values.items():
-            if key in _INT_KEYS:
-                try:
-                    merged[key] = int(text)
-                except ValueError as exc:
-                    raise ConfigError(f"config key {key}: expected integer, got {text!r}") from exc
-            elif key == "weight":
-                merged[key] = text
-            elif key in ("suite", "model", "format", "output"):
-                merged[key] = text
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-    for key in ("suite", "model", "format", "output", "weight", *_INT_KEYS):
-        value = getattr(ns, key)
-        if value is not None:
-            merged[key] = value
-    if "weight" in merged and merged["weight"] is not None:
+    for key, text in (_read_config_file(ns.config) if ns.config else {}).items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            merged[key] = int(text) if key in _INT_KEYS else text
+        except ValueError as exc:
+            raise ConfigError(f"config key {key}: expected integer, got {text!r}") from exc
+    merged.update({key: getattr(ns, key) for key in _KEYS if getattr(ns, key) is not None})
+    if merged.get("weight") is not None:
         try:
             merged["weight"] = parse_rational(str(merged["weight"]))
         except ValueError as exc:
@@ -230,40 +199,129 @@ def parse_config(argv) -> SuiteConfig:
 # model registry
 
 
+def _laurent(alg, coeffs) -> LaurentElement:
+    return LaurentElement(coeffs, alg.zero.pole_bound, alg.zero.trunc)
+
+
+def _random(alg, rng: random.Random):
+    return alg.random_element(rng)
+
+
+def _matrix_source(alg, rng: random.Random) -> RatMatrix:
+    dim = alg.one.dim
+    return RatMatrix.unit(dim, 1, 2) + RatMatrix.unit(dim, 2, 1)
+
+
+def _standard_operand(alg, rng: random.Random):
+    # the identities are multilinear, so unit-plus-basis combinations cover
+    # them; dense elements would inflate the n-fold products for no extra reach
+    c = Fraction(rng.choice((-2, -1, 1, 2)))
+    d = Fraction(rng.choice((-2, -1, 1, 2, 3)))
+    return c * alg.one + d * alg.basis[rng.randrange(1, len(alg.basis))]
+
+
+@dataclass(frozen=True)
+class _Model:
+    """A carrier factory, its canonical source and its sparse random operand.
+
+    Sources and operands take (alg, rng), where alg may be the factory's
+    carrier rescaled by --weight. `pick` is the --model value that selects
+    the carrier when it is not the registry key.
+    """
+
+    make: Callable
+    source: Callable
+    operand: Callable = _random
+    pick: str | None = None
+
+
+_MODELS = {
+    "standard-comm": _Model(
+        lambda cfg: commutative_standard_algebra(cfg.window, DEGREE_CAP),
+        lambda alg, rng: alg.one + alg.basis[1],
+        _standard_operand,
+    ),
+    "standard-nc": _Model(
+        lambda cfg: noncommutative_standard_algebra(cfg.window, DEGREE_CAP),
+        lambda alg, rng: alg.one + alg.basis[1],
+        _standard_operand,
+    ),
+    "laurent": _Model(
+        lambda cfg: laurent_algebra(max(12, 4 * cfg.order), max(12, 4 * cfg.order)),
+        lambda alg, rng: _laurent(alg, {-1: 1, 0: 1}),
+        lambda alg, rng: _laurent(
+            alg, {e: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for e in range(-2, 3)}
+        ),
+    ),
+    "matrix": _Model(lambda cfg: matrix_algebra(cfg.dim), _matrix_source),
+    "matrix2": _Model(lambda cfg: matrix_algebra(2), _matrix_source, pick="matrix"),
+    "integration": _Model(
+        lambda cfg: integration_algebra(max(24, 4 * (cfg.order + 1))),
+        lambda alg, rng: alg.basis[1],
+    ),
+    "summation": _Model(lambda cfg: summation_algebra(cfg.window), _random),
+}
+MODELS = tuple(dict.fromkeys(m.pick or key for key, m in _MODELS.items()))
+_ALL = tuple(_MODELS)  # every carrier
+
+
 def default_models(cfg: SuiteConfig) -> dict:
     """Instantiate every carrier, sized so suite internals cannot overflow."""
-    bound = max(12, 4 * cfg.order)
-    cap = max(24, 4 * (cfg.order + 1))
-    return {
-        "standard-comm": commutative_standard_algebra(cfg.window, DEGREE_CAP),
-        "standard-nc": noncommutative_standard_algebra(cfg.window, DEGREE_CAP),
-        "laurent": laurent_algebra(bound, bound),
-        "matrix": matrix_algebra(cfg.dim),
-        "matrix2": matrix_algebra(2),
-        "integration": integration_algebra(cap),
-        "summation": summation_algebra(cfg.window),
-    }
+    return {key: model.make(cfg) for key, model in _MODELS.items()}
 
 
-def _select(cfg: SuiteConfig, registry: dict, wanted: tuple) -> list:
-    """Algebras a suite runs on, honoring --model and --weight."""
-    if cfg.model is None:
-        names = list(wanted)
-    elif cfg.model in wanted:
-        names = [cfg.model]
-        if cfg.model == "matrix" and "matrix2" in wanted:
-            names.append("matrix2")
-    else:
-        raise ConfigError(f"model {cfg.model!r} is not applicable here")
-    algs = [registry[name] for name in names]
-    if cfg.weight is not None:
-        rescaled = []
-        for alg in algs:
-            if alg.weight == 0:
-                raise ConfigError(f"cannot rescale weight-0 model {alg.name}")
-            rescaled.append(alg.rescaled(cfg.weight / alg.weight))
-        algs = rescaled
-    return algs
+def _sources(cfg: SuiteConfig, key: str, alg, count: int) -> list:
+    """Deterministic sample elements of a model, its canonical source first.
+
+    Standard-model samples are unit-plus-letter combinations: series engines
+    are linear in the source grade by grade, and the full generator makes
+    order-6 towers explode combinatorially.
+    """
+    model, rng = _MODELS[key], random.Random(cfg.seed)
+    return [model.source(alg, rng)] + [model.operand(alg, rng) for _ in range(count - 1)]
+
+
+# ---------------------------------------------------------------------------
+# suite table
+
+_SUITE_TABLE = {}  # suite -> callable (cfg, registry) returning its checks
+_SUITE_MODELS = {}  # suite -> (models --model may pick, whether --weight applies)
+
+
+def _suite(name: str, models: tuple = (), any_weight: bool = True):
+    """Register fn(cfg, registry, picked) as a suite, where picked holds the
+    (model key, carrier) pairs `_select` chose for it from `models`."""
+
+    def register(fn):
+        _SUITE_MODELS[name] = (models, any_weight)
+        _SUITE_TABLE[name] = lambda cfg, registry: fn(cfg, registry, _select(cfg, registry, name))
+        return fn
+
+    return register
+
+
+def _select(cfg: SuiteConfig, registry: dict, suite: str) -> list:
+    """The (model key, carrier) pairs a suite runs on, after --model and --weight."""
+    keys, any_weight = _SUITE_MODELS[suite]
+    if cfg.model is not None:
+        picks = [_MODELS[key].pick or key for key in keys]
+        if cfg.model not in picks:
+            takes = ", ".join(dict.fromkeys(picks)) or "none"
+            raise ConfigError(
+                f"suite {suite} does not take --model {cfg.model} (it takes: {takes})"
+            )
+        keys = [key for key, pick in zip(keys, picks) if pick == cfg.model]
+    picked = [(key, registry[key]) for key in keys]
+    if cfg.weight is None:
+        return picked
+    if not any_weight:
+        raise ConfigError(
+            f"suite {suite} checks identities of a fixed weight and takes no --weight"
+        )
+    for _, alg in picked:
+        if alg.weight == 0:
+            raise ConfigError(f"suite {suite} cannot rescale weight-0 model {alg.name}")
+    return [(key, alg.rescaled(cfg.weight / alg.weight)) for key, alg in picked]
 
 
 def _plans(cfg: SuiteConfig):
@@ -279,60 +337,16 @@ def _tag(check: CheckResult, suffix: str) -> CheckResult:
     return replace(check, name=f"{check.name}/{suffix}")
 
 
-def _laurent_sample(rng: random.Random, alg: RBAlgebra) -> LaurentElement:
-    probe = alg.zero
-    coeffs = {
-        e: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for e in range(-2, 3)
-    }
-    return LaurentElement(coeffs, probe.pole_bound, probe.trunc)
+_E12 = TensorR(((RatMatrix.unit(2, 1, 2), RatMatrix.unit(2, 1, 2)),))  # nilpotent: solves the AYBE
+_E11 = TensorR(((RatMatrix.unit(2, 1, 1), RatMatrix.unit(2, 1, 1)),))  # a known non-solution
 
 
-def _suite_sources(cfg: SuiteConfig, alg: RBAlgebra, count: int) -> list:
-    """Deterministic per-model sample elements, canonical one first.
-
-    Standard-model sources are unit-plus-letter combinations: series
-    engines are linear in the source grade by grade, and the full
-    generator makes order-6 towers explode combinatorially.
-    """
-    rng = random.Random(cfg.seed)
-    name = alg.name
-    out = []
-    if name.startswith("matrix") or name.startswith("tensor"):
-        dim = alg.one.dim
-        out.append(RatMatrix.unit(dim, 1, 2) + RatMatrix.unit(dim, 2, 1))
-    elif name.startswith("standard"):
-        out.append(alg.one + alg.basis[1])
-    elif name.startswith("laurent"):
-        probe = alg.zero
-        out.append(LaurentElement({-1: 1, 0: 1}, probe.pole_bound, probe.trunc))
-    elif name.startswith("integration"):
-        out.append(alg.basis[1])
-    else:
-        out.append(alg.random_element(rng))
-    while len(out) < count:
-        if name.startswith("laurent"):
-            out.append(_laurent_sample(rng, alg))
-        elif name.startswith("standard"):
-            out.append(_bs_operand(alg, rng))
-        else:
-            out.append(alg.random_element(rng))
-    return out[:count]
-
-
-# ---------------------------------------------------------------------------
-# suites
-
-
-def _suite_rb_laws(cfg: SuiteConfig, registry: dict) -> list:
+@_suite("rb-laws", _ALL)
+def _suite_rb_laws(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     checks = []
     ex, rnd = _plans(cfg)
-    algs = _select(
-        cfg,
-        registry,
-        ("matrix", "matrix2", "standard-comm", "standard-nc", "laurent", "integration", "summation"),
-    )
     small = _triple_plan(cfg)
-    for alg in algs:
+    for _, alg in picked:
         checks.append(check_rb_law(alg, ex))
         checks.append(_tag(check_rb_law(alg, rnd), "seeded"))
         checks.append(check_linearity(alg, small))
@@ -342,212 +356,118 @@ def _suite_rb_laws(cfg: SuiteConfig, registry: dict) -> list:
     return checks
 
 
-def _suite_prelie(cfg: SuiteConfig, registry: dict) -> list:
-    checks = []
-    small = _triple_plan(cfg)
-    algs = _select(
-        cfg,
-        registry,
-        ("matrix", "standard-comm", "standard-nc", "laurent", "integration", "summation"),
-    )
-    for alg in algs:
-        checks.append(check_prelie_axiom(alg, small))
-    checks.append(check_vector_field_prelie(4))
-    return checks
-
-
-def _expected_shuffle_count(i: int, j: int) -> int:
-    return math.comb(i + j, i)
-
-
-def _suite_shuffle(cfg: SuiteConfig, registry: dict) -> list:
-    checks = []
+@_suite("shuffle", any_weight=False)
+def _suite_shuffle(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     anchor = "Eq. (shuffle)"
 
-    bad = None
-    for i in range(0, 5):
-        for j in range(0, 5):
-            u = Word(range(1, i + 1))
-            v = Word(range(i + 1, i + j + 1))
-            got = len(shuffle(u, v))
-            if got != _expected_shuffle_count(i, j):
-                bad = f"|u|={i}; |v|={j}: {got} interleavings"
-                break
-    checks.append(
-        CheckResult.ok("shuffle/cardinality", anchor)
-        if bad is None
-        else CheckResult.bad("shuffle/cardinality", anchor, bad)
-    )
+    def cardinality():
+        for i, j in itertools.product(range(5), repeat=2):
+            got = len(shuffle(Word(range(1, i + 1)), Word(range(i + 1, i + j + 1))))
+            if got != math.comb(i + j, i):
+                yield f"|u|={i}; |v|={j}: {got} interleavings"
 
-    w_yes = Word((1, 5, 2, 6, 7, 3, 4))
-    w_no = Word((1, 4, 2, 5, 6, 3, 7))
+    w_yes, w_no = Word((1, 5, 2, 6, 7, 3, 4)), Word((1, 4, 2, 5, 6, 3, 7))
     u, v = Word((1, 2, 3, 4)), Word((5, 6, 7))
     member_ok = is_shuffle_of(w_yes, u, v) and not is_shuffle_of(w_no, u, v)
-    checks.append(
-        CheckResult.ok("shuffle/membership", anchor)
-        if member_ok
-        else CheckResult.bad("shuffle/membership", anchor, f"{w_yes} / {w_no}")
-    )
 
-    sh = lambda a, b: shuffle_sum(a, b)
-    words = [Word((1,)), Word((2,)), Word((1, 2)), Word((3, 1))]
-    bad = None
-    for u in words:
-        for v in words:
-            if not sh(u, v) == sh(v, u):
-                bad = f"u={u}; v={v}"
-                break
-        p = NCPoly.from_word(u)
-        for v in words:
-            for w in words:
-                left = bilinear(sh, sh(u, v), NCPoly.from_word(w))
-                right = bilinear(sh, p, sh(v, w))
-                if not left == right:
-                    bad = f"assoc u={u}; v={v}; w={w}"
-                    break
-    checks.append(
-        CheckResult.ok("shuffle/product-laws", anchor)
-        if bad is None
-        else CheckResult.bad("shuffle/product-laws", anchor, bad)
-    )
+    def product_laws():
+        words = [Word((1,)), Word((2,)), Word((1, 2)), Word((3, 1))]
+        for u, v in itertools.product(words, repeat=2):
+            if shuffle_sum(u, v) != shuffle_sum(v, u):
+                yield f"u={u}; v={v}"
+        for u, v, w in itertools.product(words, repeat=3):
+            left = bilinear(shuffle_sum, shuffle_sum(u, v), NCPoly.from_word(w))
+            if left != bilinear(shuffle_sum, NCPoly.from_word(u), shuffle_sum(v, w)):
+                yield f"assoc u={u}; v={v}; w={w}"
 
     # half-shuffle axioms in the weight-0 free model
-    bad = None
-    triples = [(Word((1,)), Word((2,)), Word((3,))), (Word((1, 2)), Word((3,)), Word((4,)))]
-    for a, b, c in triples:
-        if not shuffle_lower(a, b) == shuffle_upper(b, a):
-            bad = f"flip a={a}; b={b}"
-            break
-        up = lambda x, y: shuffle_upper(x, y)
-        lhs = bilinear(up, shuffle_upper(a, b), NCPoly.from_word(c))
-        rhs = bilinear(up, NCPoly.from_word(a), shuffle_upper(b, c) + shuffle_upper(c, b))
-        if not lhs == rhs:
-            bad = f"upper assoc a={a}; b={b}; c={c}"
-            break
-        if not shuffle_upper(a, b) + shuffle_lower(a, b) == shuffle_sum(a, b):
-            bad = f"recombine a={a}; b={b}"
-            break
-    checks.append(
-        CheckResult.ok("shuffle/half-products", "Eq. (demishuffle0)")
-        if bad is None
-        else CheckResult.bad("shuffle/half-products", "Eq. (demishuffle0)", bad)
-    )
-    return checks
+    def half_products():
+        for a, b, c in [
+            (Word((1,)), Word((2,)), Word((3,))),
+            (Word((1, 2)), Word((3,)), Word((4,))),
+        ]:
+            if shuffle_lower(a, b) != shuffle_upper(b, a):
+                yield f"flip a={a}; b={b}"
+            lhs = bilinear(shuffle_upper, shuffle_upper(a, b), NCPoly.from_word(c))
+            inner = shuffle_upper(b, c) + shuffle_upper(c, b)
+            if lhs != bilinear(shuffle_upper, NCPoly.from_word(a), inner):
+                yield f"upper assoc a={a}; b={b}; c={c}"
+            if shuffle_upper(a, b) + shuffle_lower(a, b) != shuffle_sum(a, b):
+                yield f"recombine a={a}; b={b}"
+
+    return [
+        CheckResult.of("shuffle/cardinality", anchor, next(cardinality(), None)),
+        CheckResult.of("shuffle/membership", anchor, None if member_ok else f"{w_yes} / {w_no}"),
+        CheckResult.of("shuffle/product-laws", anchor, next(product_laws(), None)),
+        CheckResult.of("shuffle/half-products", "Eq. (demishuffle0)", next(half_products(), None)),
+    ]
 
 
-def _suite_quasi_shuffle(cfg: SuiteConfig, registry: dict) -> list:
-    checks = []
+@_suite("quasi-shuffle", ("standard-comm",), any_weight=False)
+def _suite_quasi_shuffle(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     anchor = "Eq. (demi-quasi-shuffle)"
     alpha = MonoidAlphabet(cfg.alphabet)
     qs = lambda u, v: quasi_shuffle(u, v, alpha)
-
-    got = qs(Word((1,)), Word((2,)))
-    want = NCPoly(
-        {Word((1, 2)): 1, Word((2, 1)): 1, Word((3,)): 1}
-    )
-    checks.append(
-        CheckResult.ok("quasi-shuffle/single-letters", anchor)
-        if got == want
-        else CheckResult.bad("quasi-shuffle/single-letters", anchor, f"got {got}")
-    )
-
-    got = qs(Word((1,)), Word((2, 3)))
-    want = NCPoly(
-        {
-            Word((1, 2, 3)): 1,
-            Word((2, 1, 3)): 1,
-            Word((2, 3, 1)): 1,
-            Word((3, 3)): 1,
-            Word((2, 4)): 1,
-        }
-    )
-    checks.append(
-        CheckResult.ok("quasi-shuffle/five-term", anchor)
-        if got == want
-        else CheckResult.bad("quasi-shuffle/five-term", anchor, f"got {got}")
-    )
-
-    bad = None
-    words = list(alpha.words(2))[: 12]
-    for u in words:
-        for v in words:
-            if not qs(u, v) == qs(v, u):
-                bad = f"comm u={u}; v={v}"
-                break
+    up = lambda u, v: quasi_shuffle_upper(u, v, alpha)
     small = [Word((1,)), Word((2,)), Word((1, 1))]
-    for u in small:
-        for v in small:
-            for w in small:
-                left = bilinear(qs, qs(u, v), NCPoly.from_word(w))
-                right = bilinear(qs, NCPoly.from_word(u), qs(v, w))
-                if not left == right:
-                    bad = f"assoc u={u}; v={v}; w={w}"
-    checks.append(
-        CheckResult.ok("quasi-shuffle/product-laws", anchor)
-        if bad is None
-        else CheckResult.bad("quasi-shuffle/product-laws", anchor, bad)
-    )
+
+    def expect(u, v, words):
+        got = qs(Word(u), Word(v))
+        return None if got == NCPoly({Word(w): 1 for w in words}) else f"got {got}"
+
+    def product_laws():
+        words = list(alpha.words(2))[:12]
+        for u, v in itertools.product(words, repeat=2):
+            if qs(u, v) != qs(v, u):
+                yield f"comm u={u}; v={v}"
+        for u, v, w in itertools.product(small, repeat=3):
+            left = bilinear(qs, qs(u, v), NCPoly.from_word(w))
+            if left != bilinear(qs, NCPoly.from_word(u), qs(v, w)):
+                yield f"assoc u={u}; v={v}; w={w}"
 
     # half products: down is the flip of up; up against up+down+merge associates
-    bad = None
-    trips = [(Word((1,)), Word((2,)), Word((1,))), (Word((2, 1)), Word((1,)), Word((3,)))]
-    for x, y, z in trips:
-        if not quasi_shuffle_lower(x, y, alpha) == quasi_shuffle_upper(y, x, alpha):
-            bad = f"flip x={x}; y={y}"
-            break
-        up = lambda u, v: quasi_shuffle_upper(u, v, alpha)
-        lhs = bilinear(up, quasi_shuffle_upper(x, y, alpha), NCPoly.from_word(z))
-        inner = (
-            quasi_shuffle_upper(y, z, alpha)
-            + quasi_shuffle_upper(z, y, alpha)
-            + quasi_shuffle_merge(y, z, alpha)
-        )
-        rhs = bilinear(up, NCPoly.from_word(x), inner)
-        if not lhs == rhs:
-            bad = f"upper assoc x={x}; y={y}; z={z}"
-            break
-    checks.append(
-        CheckResult.ok("quasi-shuffle/half-products", anchor)
-        if bad is None
-        else CheckResult.bad("quasi-shuffle/half-products", anchor, bad)
-    )
+    def half_products():
+        for x, y, z in [
+            (Word((1,)), Word((2,)), Word((1,))),
+            (Word((2, 1)), Word((1,)), Word((3,))),
+        ]:
+            if quasi_shuffle_lower(x, y, alpha) != up(y, x):
+                yield f"flip x={x}; y={y}"
+            inner = up(y, z) + up(z, y) + quasi_shuffle_merge(y, z, alpha)
+            lhs = bilinear(up, up(x, y), NCPoly.from_word(z))
+            if lhs != bilinear(up, NCPoly.from_word(x), inner):
+                yield f"upper assoc x={x}; y={y}; z={z}"
 
     # dropping the merge branch of the recursion must land on the plain shuffle
-    bad = None
-    for u in small:
-        for v in small:
-            if not _shuffle_by_recursion(u, v) == shuffle_sum(u, v):
-                bad = f"u={u}; v={v}"
-    checks.append(
-        CheckResult.ok("quasi-shuffle/merge-free", "Eq. (shuffle)")
-        if bad is None
-        else CheckResult.bad("quasi-shuffle/merge-free", "Eq. (shuffle)", bad)
-    )
+    def merge_free():
+        for u, v in itertools.product(small, repeat=2):
+            if _shuffle_by_recursion(u, v) != shuffle_sum(u, v):
+                yield f"u={u}; v={v}"
 
     # nested-sum realization: encoding is multiplicative
-    alg = registry["standard-comm"]
-    window = len(alg.one.entries)
-    gen = standard_generator(window, DEGREE_CAP, "comm")
-    pairs = [
-        (Word((1,)), Word((1,))),
-        (Word((1,)), Word((2,))),
-        (Word((2,)), Word((3,))),
-        (Word((1, 2)), Word((1,))),
-        (Word((1, 1)), Word((2, 1))),
+    def nested_sums():
+        (_, alg), = picked
+        gen = standard_generator(len(alg.one.entries), DEGREE_CAP, "comm")
+        for u, v in [((1,), (1,)), ((1,), (2,)), ((2,), (3,)), ((1, 2), (1,)), ((1, 1), (2, 1))]:
+            u, v = Word(u), Word(v)
+            lhs = nested_sum_encoding(alg, gen, u) * nested_sum_encoding(alg, gen, v)
+            if lhs != nested_sum_encoding_sum(alg, gen, qs(u, v)):
+                yield f"u={u}; v={v}"
+
+    return [
+        CheckResult.of(
+            "quasi-shuffle/single-letters", anchor, expect((1,), (2,), [(1, 2), (2, 1), (3,)])
+        ),
+        CheckResult.of(
+            "quasi-shuffle/five-term",
+            anchor,
+            expect((1,), (2, 3), [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 3), (2, 4)]),
+        ),
+        CheckResult.of("quasi-shuffle/product-laws", anchor, next(product_laws(), None)),
+        CheckResult.of("quasi-shuffle/half-products", anchor, next(half_products(), None)),
+        CheckResult.of("quasi-shuffle/merge-free", "Eq. (shuffle)", next(merge_free(), None)),
+        CheckResult.of("quasi-shuffle/nested-sums", "Eq. (shuffle)", next(nested_sums(), None)),
     ]
-    bad = None
-    for u, v in pairs:
-        lhs = nested_sum_encoding(alg, gen, u) * nested_sum_encoding(alg, gen, v)
-        rhs = nested_sum_encoding_sum(alg, gen, qs(u, v))
-        if not lhs == rhs:
-            bad = f"u={u}; v={v}"
-            break
-    checks.append(
-        CheckResult.ok("quasi-shuffle/nested-sums", "Eq. (shuffle)")
-        if bad is None
-        else CheckResult.bad("quasi-shuffle/nested-sums", "Eq. (shuffle)", bad)
-    )
-    return checks
 
 
 def _shuffle_by_recursion(u: Word, v: Word) -> NCPoly:
@@ -562,40 +482,41 @@ def _shuffle_by_recursion(u: Word, v: Word) -> NCPoly:
     return out + NCPoly.from_word(Word((b,))) * _shuffle_by_recursion(u, vt)
 
 
-def _weight_zero_algebras(cfg: SuiteConfig, registry: dict) -> list:
-    tensor = TensorR(((RatMatrix.unit(2, 1, 2), RatMatrix.unit(2, 1, 2)),))
-    return [registry["integration"], tensor_rb_algebra(tensor)]
-
-
-def _suite_dendriform(cfg: SuiteConfig, registry: dict) -> list:
+@_suite("dendriform", ("integration",), any_weight=False)
+def _suite_dendriform(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     ex, rnd = _plans(cfg)
     checks = []
-    for alg in _weight_zero_algebras(cfg, registry):
+    for alg in [alg for _, alg in picked] + [tensor_rb_algebra(_E12)]:
         checks.append(check_dendriform(alg, ex))
         checks.append(_tag(check_dendriform(alg, rnd), "seeded"))
     return checks
 
 
-def _suite_spitzer(cfg: SuiteConfig, registry: dict) -> list:
-    checks = []
-    algs = _select(cfg, registry, ("standard-comm", "integration", "summation", "laurent"))
-    for alg in algs:
-        for i, x in enumerate(_suite_sources(cfg, alg, 3)):
-            checks.append(_tag(spitzer_check_commutative(alg, x, cfg.order), f"x{i}"))
-    return checks
+@_suite("prelie", ("matrix", "standard-comm", "standard-nc", "laurent", "integration", "summation"))
+def _suite_prelie(cfg: SuiteConfig, registry: dict, picked: list) -> list:
+    small = _triple_plan(cfg)
+    return [check_prelie_axiom(alg, small) for _, alg in picked] + [check_vector_field_prelie(4)]
 
 
-def _suite_nc_spitzer(cfg: SuiteConfig, registry: dict) -> list:
-    checks = []
-    algs = _select(cfg, registry, ("matrix", "matrix2", "standard-nc", "standard-comm"))
-    for alg in algs:
-        count = 3 if alg.name.startswith("matrix") else 1
-        for i, x in enumerate(_suite_sources(cfg, alg, count)):
-            checks.append(_tag(check_nc_spitzer(alg, x, cfg.order), f"x{i}"))
-    return checks
+@_suite("spitzer", ("standard-comm", "integration", "summation", "laurent"))
+def _suite_spitzer(cfg: SuiteConfig, registry: dict, picked: list) -> list:
+    return [
+        _tag(spitzer_check_commutative(alg, x, cfg.order), f"x{i}")
+        for key, alg in picked
+        for i, x in enumerate(_sources(cfg, key, alg, 3))
+    ]
 
 
-def _magnus_expected(alg: RBAlgebra, x) -> dict:
+@_suite("nc-spitzer", ("matrix", "matrix2", "standard-nc", "standard-comm"))
+def _suite_nc_spitzer(cfg: SuiteConfig, registry: dict, picked: list) -> list:
+    return [
+        _tag(check_nc_spitzer(alg, x, cfg.order), f"x{i}")
+        for key, alg in picked
+        for i, x in enumerate(_sources(cfg, key, alg, 3 if key in ("matrix", "matrix2") else 1))
+    ]
+
+
+def _magnus_expected(alg, x) -> dict:
     """Grades 2..4 of the Magnus series, written out as pre-Lie chains."""
     p = lambda a, b: prelie_left(alg, a, b)
     xx = p(x, x)
@@ -613,114 +534,83 @@ def _magnus_expected(alg: RBAlgebra, x) -> dict:
     }
 
 
-def _suite_magnus(cfg: SuiteConfig, registry: dict) -> list:
-    """Coefficients of the Magnus recursion in the word-sequence model.
+@_suite("magnus", ("standard-nc",))
+def _suite_magnus(cfg: SuiteConfig, registry: dict, picked: list) -> list:
+    """Coefficients of the Magnus recursion in the word-sequence model, at N = 4.
 
     The lambda^4 oracle is the pre-Lie reduction of the recursion's own four
     chains; the commutative closed form theta^{-1} log(1 + theta F) fixes all
     signs (the spitzer suite re-verifies that closed form independently).
     """
-    anchor = "Eq. (pLMag)"
-    alg = registry["standard-nc"]
-    window = len(alg.one.entries)
-    x = standard_generator(window, DEGREE_CAP, "nc")
+    (_, alg), = picked
+    x = standard_generator(len(alg.one.entries), DEGREE_CAP, "nc")
     omega = prelie_magnus(alg, x, 4).omega
     expected = _magnus_expected(alg, x)
     checks = []
     for grade, key in ((2, 2), (3, 3), (4, "4-terms"), (4, "4-reduced")):
         name = f"magnus/lambda{grade}" + ("/reduced" if key == "4-reduced" else "")
-        got = omega.coefficient(grade)
-        want = expected[key]
-        checks.append(
-            CheckResult.ok(name, anchor)
-            if got == want
-            else CheckResult.bad(name, anchor, f"got={got}; want={want}")
-        )
+        got, want = omega.coefficient(grade), expected[key]
+        bad = None if got == want else f"got={got}; want={want}"
+        checks.append(CheckResult.of(name, "Eq. (pLMag)", bad))
     return checks
 
 
-def _bs_operand(alg: RBAlgebra, rng: random.Random):
-    # the identity is multilinear, so unit-plus-basis combinations cover it;
-    # dense elements would inflate the n-fold products for no extra reach
-    if alg.name.startswith("standard"):
-        c = Fraction(rng.choice((-2, -1, 1, 2)))
-        d = Fraction(rng.choice((-2, -1, 1, 2, 3)))
-        a = rng.randrange(1, len(alg.basis))
-        return c * alg.one + d * alg.basis[a]
-    return alg.random_element(rng)
-
-
-def _suite_bohnenblust_spitzer(cfg: SuiteConfig, registry: dict) -> list:
+@_suite("bohnenblust-spitzer", ("standard-comm", "standard-nc", "matrix", "integration"))
+def _suite_bohnenblust_spitzer(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     checks = []
-    arities = range(2, max(2, cfg.bs_arity) + 1)
-    algs = _select(cfg, registry, ("standard-comm", "standard-nc", "matrix", "integration"))
-    for alg in algs:
+    for key, alg in picked:
         runs = []
         if alg.commutative and alg.weight != 0:
             runs.append((alg, "commutative-partitions"))
         if alg.weight == 0:
             runs.append((alg, "weight-zero"))
         runs.append((alg, "cycles-prelie"))
-        if alg.name.startswith("standard-nc") and cfg.weight is None:
+        if key == "standard-nc" and cfg.weight is None:
             runs.append((alg.rescaled(Fraction(2, 3) / alg.weight), "cycles-prelie"))
         for target, form in runs:
             rng = random.Random(cfg.seed)
-            for n in arities:
-                ops = BSOperands(target, tuple(_bs_operand(target, rng) for _ in range(n)))
-                checks.append(check_bohnenblust_spitzer(ops, form))
+            for n in range(2, max(2, cfg.bs_arity) + 1):
+                ops = tuple(_MODELS[key].operand(target, rng) for _ in range(n))
+                checks.append(check_bohnenblust_spitzer(BSOperands(target, ops), form))
     return checks
 
 
-def _suite_atkinson(cfg: SuiteConfig, registry: dict) -> list:
+@_suite("atkinson", _ALL)
+def _suite_atkinson(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     checks = []
     _, rnd = _plans(cfg)
-    algs = _select(
-        cfg,
-        registry,
-        ("matrix", "matrix2", "standard-comm", "standard-nc", "laurent", "integration", "summation"),
-    )
-    for alg in algs:
-        for i, x in enumerate(_suite_sources(cfg, alg, 2)):
-            checks.append(_tag(check_atkinson(alg, x, cfg.order, rnd), f"x{i}"))
+    for key, alg in picked:
+        lemma = atkinson_lemma(alg, rnd)  # does not involve the source: once per carrier
+        for i, x in enumerate(_sources(cfg, key, alg, 2)):
+            checks.append(_tag(check_atkinson(alg, x, cfg.order, rnd, lemma), f"x{i}"))
     return checks
 
 
-def _suite_bogoliubov(cfg: SuiteConfig, registry: dict) -> list:
-    checks = []
-    alg = _select(cfg, registry, ("laurent",))[0]
-    probe = alg.zero
+@_suite("bogoliubov", ("laurent",))
+def _suite_bogoliubov(cfg: SuiteConfig, registry: dict, picked: list) -> list:
+    (key, alg), = picked
     rng = random.Random(cfg.seed)
     order = min(cfg.order, 4)
+    checks = []
     for i in range(20):
-        coeffs = [alg.zero]
-        for _ in range(order):
-            coeffs.append(_laurent_sample(rng, alg))
-        x = LambdaSeries(alg, tuple(coeffs))
-        checks.append(_tag(check_bogoliubov(alg, x), f"x{i}"))
-    # the displayed one-step example: x1 = 1/eps + 1
-    x1 = LaurentElement({-1: 1, 0: 1}, probe.pole_bound, probe.trunc)
-    f, hinv = bogoliubov_decompose(alg, LambdaSeries(alg, (alg.zero, x1)))
-    pole = LaurentElement({-1: 1}, probe.pole_bound, probe.trunc)
-    unit = LaurentElement({0: 1}, probe.pole_bound, probe.trunc)
-    ok = f.coefficient(1) == pole and hinv.coefficient(1) == -unit
-    checks.append(
-        CheckResult.ok("bogoliubov/one-step", "Eq. (Atkins)")
-        if ok
-        else CheckResult.bad(
-            "bogoliubov/one-step",
-            "Eq. (Atkins)",
-            f"f1={f.coefficient(1)}; hinv1={hinv.coefficient(1)}",
-        )
-    )
+        coeffs = (alg.zero, *(_MODELS[key].operand(alg, rng) for _ in range(order)))
+        checks.append(_tag(check_bogoliubov(alg, LambdaSeries(alg, coeffs)), f"x{i}"))
+    # the displayed one-step example x1 = 1/eps + 1: f1 = -theta/eps, hinv1 = theta
+    theta = alg.weight
+    f, hinv = bogoliubov_decompose(alg, LambdaSeries(alg, (alg.zero, _laurent(alg, {-1: 1, 0: 1}))))
+    f1, hinv1 = f.coefficient(1), hinv.coefficient(1)
+    ok = f1 == _laurent(alg, {-1: -theta}) and hinv1 == theta * alg.one
+    bad = None if ok else f"f1={f1}; hinv1={hinv1}"
+    checks.append(CheckResult.of("bogoliubov/one-step", "Eq. (Atkins)", bad))
     return checks
 
 
-def _suite_flows_bch(cfg: SuiteConfig, registry: dict) -> list:
+@_suite("flows-bch", ("matrix", "matrix2"))
+def _suite_flows_bch(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     checks = []
-    algs = _select(cfg, registry, ("matrix", "matrix2"))
     bch_order = min(cfg.order, 3)
     law_order = min(cfg.order, 4)
-    for alg in algs:
+    for _, alg in picked:
         dim = alg.one.dim
         units = [RatMatrix.unit(dim, i, j) for i in range(1, dim + 1) for j in range(1, dim + 1)]
         pairs = [(u, v) for u in units for v in units][: 16]
@@ -735,79 +625,44 @@ def _suite_flows_bch(cfg: SuiteConfig, registry: dict) -> list:
     return checks
 
 
-def _suite_yang_baxter(cfg: SuiteConfig, registry: dict) -> list:
-    checks = []
+@_suite("yang-baxter", _ALL)
+def _suite_yang_baxter(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     ex, rnd = _plans(cfg)
-    algs = _select(
-        cfg,
-        registry,
-        ("matrix", "matrix2", "standard-comm", "standard-nc", "laurent", "integration", "summation"),
-    )
     small = _triple_plan(cfg)
-    for alg in algs:
-        checks.append(check_modified_ybe(alg, small))
-
-    nil = TensorR(((RatMatrix.unit(2, 1, 2), RatMatrix.unit(2, 1, 2)),))
+    checks = [check_modified_ybe(alg, small) for _, alg in picked]
     for mode in ("printed", "standard"):
-        checks.append(_tag(aybe_check(nil, mode), "E12"))
-    diag = TensorR(((RatMatrix.unit(2, 1, 1), RatMatrix.unit(2, 1, 1)),))
-    for mode in ("printed", "standard"):
-        inner = aybe_check(diag, mode)
-        name = f"aybe/{mode}/E11-rejected"
-        checks.append(
-            CheckResult.ok(name, "Eq. (ag)")
-            if inner.status == "fail"
-            else CheckResult.bad(name, "Eq. (ag)", "known non-solution was accepted")
-        )
-    induced = tensor_rb_algebra(nil)
+        checks.append(_tag(aybe_check(_E12, mode), "E12"))
+        accepted = aybe_check(_E11, mode).status != "fail"
+        bad = "known non-solution was accepted" if accepted else None
+        checks.append(CheckResult.of(f"aybe/{mode}/E11-rejected", "Eq. (ag)", bad))
+    induced = tensor_rb_algebra(_E12)
     checks.append(check_rb_law(induced, ex))
     checks.append(check_operator_ybe(induced, plan=ex))
     checks.append(_tag(check_operator_ybe(registry["integration"], plan=rnd), "abelian"))
     return checks
 
 
-def _suite_standard_symmetric(cfg: SuiteConfig, registry: dict) -> list:
-    checks = []
+@_suite("standard-symmetric", ("summation",), any_weight=False)
+def _suite_standard_symmetric(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     window = cfg.window
     ks = sorted({min(3, window - 1), window // 2 + 1, window - 1})
-    for n in range(1, 5):
-        for k in ks:
-            checks.append(elementary_symmetric_check(n, k, window, DEGREE_CAP))
-
-    alg = registry["summation"]
+    checks = [elementary_symmetric_check(n, k, window, DEGREE_CAP) for n in range(1, 5) for k in ks]
+    (_, alg), = picked
     rng = random.Random(cfg.seed)
-    bad = None
-    for _ in range(5):
-        s = alg.random_element(rng)
-        summed = alg.rb(s)
-        diff = finite_difference(summed)
-        if not diff == SeqElement(s.entries[: window - 1]):
-            bad = f"s={s}; diff(R(s))={diff}"
-            break
-    checks.append(
-        CheckResult.ok("standard-symmetric/difference-inverts-sum", "Eq. (shuffle)")
-        if bad is None
-        else CheckResult.bad("standard-symmetric/difference-inverts-sum", "Eq. (shuffle)", bad)
-    )
+
+    def difference_inverts_sum():
+        for _ in range(5):
+            s = alg.random_element(rng)
+            diff = finite_difference(alg.rb(s))
+            if diff != SeqElement(s.entries[: window - 1]):
+                yield f"s={s}; diff(R(s))={diff}"
+
+    name = "standard-symmetric/difference-inverts-sum"
+    checks.append(CheckResult.of(name, "Eq. (shuffle)", next(difference_inverts_sum(), None)))
     return checks
 
 
-_SUITE_TABLE = {
-    "rb-laws": _suite_rb_laws,
-    "shuffle": _suite_shuffle,
-    "quasi-shuffle": _suite_quasi_shuffle,
-    "dendriform": _suite_dendriform,
-    "prelie": _suite_prelie,
-    "spitzer": _suite_spitzer,
-    "nc-spitzer": _suite_nc_spitzer,
-    "magnus": _suite_magnus,
-    "bohnenblust-spitzer": _suite_bohnenblust_spitzer,
-    "atkinson": _suite_atkinson,
-    "bogoliubov": _suite_bogoliubov,
-    "flows-bch": _suite_flows_bch,
-    "yang-baxter": _suite_yang_baxter,
-    "standard-symmetric": _suite_standard_symmetric,
-}
+SUITES = tuple(_SUITE_TABLE)
 
 
 def run_suite(cfg: SuiteConfig, models: dict | None = None) -> Report:
@@ -816,22 +671,12 @@ def run_suite(cfg: SuiteConfig, models: dict | None = None) -> Report:
     if models:
         registry.update(models)
     names = SUITES if cfg.suite == "all" else (cfg.suite,)
-    checks = []
     for name in names:
-        checks.extend(_SUITE_TABLE[name](cfg, registry))
+        _select(cfg, registry, name)  # refuse a bad --model or --weight before any suite runs
+    checks = [check for name in names for check in _SUITE_TABLE[name](cfg, registry)]
     elapsed_ms = int((time.monotonic() - started) * 1000)
-    params = {
-        "suite": cfg.suite,
-        "model": cfg.model,
-        "order": cfg.order,
-        "window": cfg.window,
-        "dim": cfg.dim,
-        "weight": str(cfg.weight) if cfg.weight is not None else None,
-        "alphabet": cfg.alphabet,
-        "bs_arity": cfg.bs_arity,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-    }
+    params = {key: getattr(cfg, key) for key in _KEYS if key not in ("format", "output")}
+    params["weight"] = None if cfg.weight is None else str(cfg.weight)
     return Report(suite=cfg.suite, params=params, checks=tuple(checks), elapsed_ms=elapsed_ms)
 
 
@@ -840,10 +685,7 @@ def main(argv=None, models: dict | None = None) -> int:
         cfg = parse_config(argv if argv is not None else sys.argv[1:])
         report = run_suite(cfg, models)
         emit_report(report, cfg.format, cfg.output)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if report.failed == 0 else 1

@@ -171,9 +171,6 @@ class MonoidAlphabet:
         if self.size < 1:
             raise ConfigError(f"alphabet size must be positive, got {self.size}")
 
-    def contains(self, letter: int) -> bool:
-        return 1 <= letter <= self.size
-
     def combine(self, a: int, b: int) -> int:
         return a + b
 

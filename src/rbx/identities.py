@@ -47,6 +47,7 @@ __all__ = [
     "solve_fixed_point",
     "solve_fixed_point_series",
     "atkinson_solutions",
+    "atkinson_lemma",
     "check_atkinson",
     "bogoliubov_decompose",
     "check_bogoliubov",
@@ -134,11 +135,27 @@ def atkinson_solutions(alg: RBAlgebra, x, order: int) -> FixedPointSolution:
     )
 
 
+def atkinson_lemma(alg: RBAlgebra, plan: SamplePlan) -> str | None:
+    """The first counterexample on plan's pairs to the splitting lemma
+    R(a)Rtilde(b) = R(a Rtilde(b)) + Rtilde(R(a) b), or None when it holds."""
+    for a, b in plan.pairs(alg):
+        tb = tilde_operator(alg, b)
+        left = alg.rb(a) * tb
+        right = alg.rb(a * tb) + tilde_operator(alg, alg.rb(a) * b)
+        if not left == right:
+            return f"lemma a={a}; b={b}; lhs={left}; rhs={right}"
+    return None
+
+
+_UNCHECKED = object()
+
+
 def check_atkinson(
-    alg: RBAlgebra, x, order: int, plan: SamplePlan = SamplePlan("exhaustive")
+    alg: RBAlgebra, x, order: int, plan: SamplePlan = SamplePlan("exhaustive"), lemma=_UNCHECKED
 ) -> CheckResult:
     """Factorization fh = 1 - lambda theta fxh, its inverse form, and the
-    splitting lemma R(a)Rtilde(b) = R(a Rtilde(b)) + Rtilde(R(a) b)."""
+    splitting lemma on plan's pairs. The lemma does not involve x, so a caller
+    checking several sources passes its `atkinson_lemma(alg, plan)` outcome."""
     name = f"atkinson/{alg.name}/N={order}"
     anchor = "Eq. (Atkins)"
     theta = alg.weight
@@ -159,14 +176,7 @@ def check_atkinson(
     if miss:
         k, a, b = miss
         return CheckResult.bad(name, anchor, f"x={x}; grade {k}: f^-1 h^-1={a}; 1+th*x={b}")
-
-    for a, b in plan.pairs(alg):
-        tb = tilde_operator(alg, b)
-        left = alg.rb(a) * tb
-        right = alg.rb(a * tb) + tilde_operator(alg, alg.rb(a) * b)
-        if not left == right:
-            return CheckResult.bad(name, anchor, f"lemma a={a}; b={b}; lhs={left}; rhs={right}")
-    return CheckResult.ok(name, anchor)
+    return CheckResult.of(name, anchor, atkinson_lemma(alg, plan) if lemma is _UNCHECKED else lemma)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +203,8 @@ def bogoliubov_decompose(alg: RBAlgebra, x: LambdaSeries):
 
 def check_bogoliubov(alg: RBAlgebra, x: LambdaSeries) -> CheckResult:
     """Counterterm purely in the image of R, renormalized part killed by R,
-    and the factorization f (1 - x) h = 1."""
+    and the factorization f (1 + theta x) h = 1, which is Atkinson's
+    f^-1 h^-1 = 1 + theta x (f (1 - x) h = 1 at theta = -1)."""
     name = f"bogoliubov/{alg.name}/N={x.order}"
     anchor = "Eq. (Atkins)"
     f, hinv = bogoliubov_decompose(alg, x)
@@ -206,11 +217,11 @@ def check_bogoliubov(alg: RBAlgebra, x: LambdaSeries) -> CheckResult:
             return CheckResult.bad(name, anchor, f"grade {n}: counterterm {fn} not purely in im R")
     h = series_inverse(hinv)
     one_s = LambdaSeries.one(alg, x.order)
-    prod = f * (one_s - x) * h
+    prod = f * (one_s + alg.weight * x) * h
     miss = _first_mismatch(prod, one_s)
     if miss:
         k, a, _ = miss
-        return CheckResult.bad(name, anchor, f"grade {k}: f(1-x)h={a}; expected unit")
+        return CheckResult.bad(name, anchor, f"grade {k}: f(1+th*x)h={a}; expected unit")
     return CheckResult.ok(name, anchor)
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "finite_difference",
     "matrix_algebra",
     "laurent_algebra",
-    "laurent_monomial",
     "commutative_standard_algebra",
     "noncommutative_standard_algebra",
     "standard_generator",
@@ -317,10 +316,6 @@ class LaurentElement:
 def laurent_pole_projection(x: LaurentElement) -> LaurentElement:
     """Keep the strictly negative exponents: the divergent part."""
     return x._of({e: c for e, c in x.num.items() if e < 0}, x.den)
-
-
-def laurent_monomial(e: int, pole_bound: int = 4, trunc: int = 6) -> LaurentElement:
-    return LaurentElement({e: Fraction(1)}, pole_bound, trunc)
 
 
 def laurent_algebra(

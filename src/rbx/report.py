@@ -37,6 +37,11 @@ class CheckResult:
     def bad(cls, name: str, anchor: str, counterexample: str) -> "CheckResult":
         return cls(name, "fail", anchor, counterexample)
 
+    @classmethod
+    def of(cls, name: str, anchor: str, counterexample: str | None) -> "CheckResult":
+        """A pass when there is no counterexample, else a fail carrying it."""
+        return cls(name, "pass" if counterexample is None else "fail", anchor, counterexample)
+
 
 @dataclass
 class Report:

@@ -20,7 +20,6 @@ from .report import CheckResult
 
 __all__ = [
     "TensorR",
-    "LieCarrier",
     "kron",
     "aybe_check",
     "rb_from_tensor",
@@ -119,14 +118,9 @@ def tensor_rb_algebra(r: TensorR) -> RBAlgebra:
     )
 
 
-@dataclass(frozen=True)
-class LieCarrier:
-    """Commutator bracket on top of an associative model."""
-
-    alg: RBAlgebra
-
-    def bracket(self, x, y):
-        return x * y - y * x
+def _bracket(x, y):
+    """The commutator bracket of an associative carrier."""
+    return x * y - y * x
 
 
 # ---------------------------------------------------------------------------
@@ -169,23 +163,22 @@ def check_dendriform(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
     return CheckResult.ok(name, anchor)
 
 
-def check_operator_ybe(lie, rb=None, plan: SamplePlan = SamplePlan("exhaustive")) -> CheckResult:
-    """Operator classical YBE and the pre-Lie nature of the split brackets.
+def check_operator_ybe(
+    alg: RBAlgebra, rb=None, plan: SamplePlan = SamplePlan("exhaustive")
+) -> CheckResult:
+    """Operator classical YBE and the pre-Lie nature of the split brackets,
+    for the commutator bracket of the algebra's carrier.
 
-    `lie` may be a LieCarrier or any algebra carrying the commutator bracket.
     With no explicit operator the carrier's own R is used, which must then
     have weight 0.
     """
-    if not isinstance(lie, LieCarrier):
-        lie = LieCarrier(lie)
-    alg = lie.alg
     name = f"operator-ybe/{alg.name}/{plan.mode}"
     anchor = "Eq. (ybc)"
     if rb is None:
         if alg.weight != 0:
             raise ConfigError(f"operator YBE needs weight 0, got {alg.weight}")
         rb = alg.rb
-    br = lie.bracket
+    br = _bracket
 
     def up(x, y):
         return br(x, rb(y))
@@ -226,8 +219,7 @@ def check_modified_ybe(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
     anchor = "Eq. (modRBR)"
     theta = alg.weight
     half = Fraction(1, 2)
-    lie = LieCarrier(alg)
-    br = lie.bracket
+    br = _bracket
 
     def b(x):
         return b_operator(alg, x)

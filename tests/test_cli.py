@@ -13,14 +13,36 @@ from rbx import (
     ConfigError,
     RatMatrix,
     Report,
+    SamplePlan,
     SuiteConfig,
     main,
     matrix_algebra,
     parse_config,
     run_suite,
 )
+from rbx.cli import SUITES
 
 FAST = ["--trials", "5"]
+
+ALL_MODELS = ("standard-comm", "standard-nc", "laurent", "matrix", "integration", "summation")
+
+# suite -> the --model values it takes; every other model exits 2
+SUITE_MODELS = {
+    "rb-laws": ALL_MODELS,
+    "shuffle": (),
+    "quasi-shuffle": ("standard-comm",),
+    "dendriform": ("integration",),
+    "prelie": ALL_MODELS,
+    "spitzer": ("standard-comm", "integration", "summation", "laurent"),
+    "nc-spitzer": ("matrix", "standard-nc", "standard-comm"),
+    "magnus": ("standard-nc",),
+    "bohnenblust-spitzer": ("standard-comm", "standard-nc", "matrix", "integration"),
+    "atkinson": ALL_MODELS,
+    "bogoliubov": ("laurent",),
+    "flows-bch": ("matrix",),
+    "yang-baxter": ALL_MODELS,
+    "standard-symmetric": ("summation",),
+}
 
 
 class TestParseConfig:
@@ -123,10 +145,61 @@ class TestRunSuite:
         assert any("beta=" in c.name for c in report.checks)
 
     def test_suite_model_mismatch(self):
-        with pytest.raises(ConfigError):
-            run_suite(SuiteConfig(suite="spitzer", model="standard-nc", trials=3))
-        with pytest.raises(ConfigError):
-            run_suite(SuiteConfig(suite="bogoliubov", model="matrix", trials=3))
+        assert set(SUITE_MODELS) == set(SUITES)
+        for suite, takes in SUITE_MODELS.items():
+            for model in ALL_MODELS:
+                if model in takes:
+                    continue
+                with pytest.raises(ConfigError, match=f"suite {suite} .*it takes: "):
+                    run_suite(SuiteConfig(suite=suite, model=model, trials=3))
+
+    @pytest.mark.parametrize(
+        "suite,model", [(s, m) for s, takes in SUITE_MODELS.items() for m in takes]
+    )
+    def test_suite_runs_on_each_model_it_takes(self, suite, model):
+        report = run_suite(SuiteConfig(suite=suite, model=model, order=2, trials=3, bs_arity=2))
+        assert report.failed == 0
+        assert report.passed > 0
+
+    def test_suite_all_names_the_suite_that_refuses_a_model(self, capsys):
+        rc = main(["verify", "--suite", "all", "--model", "laurent"] + FAST)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: suite shuffle ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "suite", ["shuffle", "quasi-shuffle", "dendriform", "standard-symmetric"]
+    )
+    def test_fixed_weight_suites_refuse_a_weight(self, suite, capsys):
+        rc = main(["verify", "--suite", suite, "--weight=2"] + FAST)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: suite {suite} ")
+
+    @pytest.mark.parametrize("weight", ["1/3", "2", "-3/2"])
+    def test_bogoliubov_holds_at_any_weight(self, weight, capsys):
+        argv = ["verify", "--suite", "bogoliubov", f"--weight={weight}", "--order", "3"]
+        rc = main(argv + ["--format", "json"])
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert rc == 0, [c for c in checks.values() if c["status"] == "fail"][:1]
+        assert checks["bogoliubov/one-step"]["status"] == "pass"
+        assert len(checks) == 21
+
+    def test_atkinson_lemma_runs_once_per_carrier(self, monkeypatch):
+        calls = []
+        pairs = SamplePlan.pairs
+
+        def counted(plan, alg):
+            calls.append(alg.name)
+            return pairs(plan, alg)
+
+        monkeypatch.setattr(SamplePlan, "pairs", counted)
+        report = run_suite(SuiteConfig(suite="atkinson", order=2, trials=3))
+        assert report.failed == 0
+        carriers = sorted({c.name.split("/")[1] for c in report.checks})
+        assert len(report.checks) == 2 * len(carriers) == 14
+        # two sources per carrier share one pass of the lemma over the pairs
+        assert sorted(calls) == carriers
 
     def test_weight_rescale_refuses_weight_zero_models(self):
         with pytest.raises(ConfigError):

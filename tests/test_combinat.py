@@ -98,8 +98,6 @@ class TestMonoidAlphabet:
     def test_letters_compose_by_addition(self):
         alpha = MonoidAlphabet(4)
         assert alpha.combine(3, 4) == 7
-        assert alpha.contains(4)
-        assert not alpha.contains(7)
 
     def test_word_enumeration(self):
         assert len(list(MonoidAlphabet(4).words(2))) == 4 + 16

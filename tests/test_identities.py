@@ -1,6 +1,7 @@
 """Fixed points, Magnus/Spitzer forms, Bohnenblust-Spitzer, Bogoliubov, flows."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from rbx import (
     LambdaSeries,
     LaurentElement,
     RatMatrix,
+    SamplePlan,
     atkinson_solutions,
     bch_series,
     bogoliubov_decompose,
@@ -37,7 +39,7 @@ from rbx import (
     tilde_operator,
     Permutation,
 )
-from rbx.identities import _log_closed_form
+from rbx.identities import _log_closed_form, atkinson_lemma
 
 M3 = matrix_algebra(3)
 E = lambda i, j: RatMatrix.unit(3, i, j)
@@ -90,6 +92,16 @@ class TestAtkinson:
         for alg, x in cases:
             res = check_atkinson(alg, x, 4)
             assert res.status == "pass", res.counterexample
+
+    def test_precomputed_lemma_outcome_is_reported(self):
+        plan = SamplePlan("random", 5, 1)
+        assert atkinson_lemma(M3, plan) is None
+        assert check_atkinson(M3, X_SYM, 3, plan, None) == check_atkinson(M3, X_SYM, 3, plan)
+        res = check_atkinson(M3, X_SYM, 3, plan, "lemma a=0; b=0")
+        assert (res.status, res.counterexample) == ("fail", "lemma a=0; b=0")
+        # a splitting that is not a Rota-Baxter pair breaks the lemma
+        doubled = replace(M3, rb=lambda m: 2 * M3.rb(m))
+        assert atkinson_lemma(doubled, plan).startswith("lemma a=")
 
     def test_solutions_bundle(self):
         sol = atkinson_solutions(M3, X_SYM, 3)

@@ -6,7 +6,6 @@ import pytest
 
 from rbx import (
     ConfigError,
-    LieCarrier,
     RatMatrix,
     SamplePlan,
     TensorR,
@@ -117,8 +116,7 @@ class TestOperatorYBE:
             assert res.status == "pass", res.counterexample
 
     def test_explicit_carrier_and_operator(self):
-        lie = LieCarrier(matrix_algebra(2))
-        res = check_operator_ybe(lie, rb=rb_from_tensor(NIL), plan=EX)
+        res = check_operator_ybe(matrix_algebra(2), rb=rb_from_tensor(NIL), plan=EX)
         assert res.status == "pass", res.counterexample
 
     def test_carrier_weight_must_vanish_without_explicit_operator(self):
