@@ -318,10 +318,14 @@ def _select(cfg: SuiteConfig, registry: dict, suite: str) -> list:
         raise ConfigError(
             f"suite {suite} checks identities of a fixed weight and takes no --weight"
         )
-    for _, alg in picked:
-        if alg.weight == 0:
-            raise ConfigError(f"suite {suite} cannot rescale weight-0 model {alg.name}")
-    return [(key, alg.rescaled(cfg.weight / alg.weight)) for key, alg in picked]
+    # a weight-0 carrier has no weight to rescale: skip it, unless nothing is left
+    scaled = [
+        (key, alg.rescaled(cfg.weight / alg.weight)) for key, alg in picked if alg.weight != 0
+    ]
+    if not scaled:
+        names = ", ".join(alg.name for _, alg in picked)
+        raise ConfigError(f"suite {suite} cannot rescale weight-0 model {names}")
+    return scaled
 
 
 def _plans(cfg: SuiteConfig):

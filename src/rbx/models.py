@@ -28,8 +28,8 @@ from .errors import ConfigError
 from .polynomials import CPoly, NCPoly, Word
 from .report import CheckResult
 from .scalars import (
-    combine_dense,
-    combine_sparse,
+    DenseCarrier,
+    SparseCarrier,
     lowest_terms,
     lowest_terms_sparse,
     over_common_denominator,
@@ -65,14 +65,14 @@ __all__ = [
 # rational matrices
 
 
-class RatMatrix:
+class RatMatrix(DenseCarrier):
     """Immutable n x n rational matrix.
 
     Stored row-major as integer numerators ``num`` over one positive
     denominator ``den``, in lowest terms; ``rows`` gives the Fraction entries.
     """
 
-    __slots__ = ("dim", "num", "den")
+    __slots__ = ("dim",)
 
     def __init__(self, rows):
         rows = [tuple(row) for row in rows]
@@ -89,6 +89,13 @@ class RatMatrix:
         m.dim = n
         m.num, m.den = lowest_terms(nums, den)
         return m
+
+    def _like(self, nums: list, den: int) -> "RatMatrix":
+        return RatMatrix._of(self.dim, nums, den)
+
+    def _match(self, other: "RatMatrix") -> None:
+        if other.dim != self.dim:
+            raise ValueError("dimension mismatch")
 
     @property
     def rows(self) -> tuple:
@@ -110,48 +117,15 @@ class RatMatrix:
         """Matrix unit E_ij, 1-based indices."""
         return cls._of(n, [int((r, c) == (i - 1, j - 1)) for r in range(n) for c in range(n)], 1)
 
-    def _combine(self, op, other: "RatMatrix") -> "RatMatrix":
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        num, den = combine_dense(op, self.num, self.den, other.num, other.den)
-        return RatMatrix._of(self.dim, num, den)
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return self._combine(operator.add, other)
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self._combine(operator.sub, other)
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix._of(self.dim, [-c for c in self.num], self.den)
-
-    def __rmul__(self, scalar) -> "RatMatrix":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        p, d = scalar.numerator, scalar.denominator
-        return RatMatrix._of(self.dim, [p * c for c in self.num], self.den * d)
-
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
+        self._match(other)
         n = self.dim
-        if other.dim != n:
-            raise ValueError("dimension mismatch")
         a, b = self.num, other.num
         cols = [b[j::n] for j in range(n)]
         out = [
             sum(map(operator.mul, a[i : i + n], col)) for i in range(0, n * n, n) for col in cols
         ]
         return RatMatrix._of(n, out, self.den * other.den)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.dim == other.dim
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(str(v) for v in row) + "]" for row in self.rows) + "]"
@@ -166,9 +140,7 @@ def triangular_projection(m: RatMatrix) -> RatMatrix:
     triangular subalgebra, which makes this a weight -1 Rota-Baxter operator.
     """
     n = m.dim
-    return RatMatrix._of(
-        n, [c if k // n <= k % n else 0 for k, c in enumerate(m.num)], m.den
-    )
+    return m._like([c if k // n <= k % n else 0 for k, c in enumerate(m.num)], m.den)
 
 
 def matrix_algebra(dim: int = 3) -> RBAlgebra:
@@ -200,7 +172,7 @@ def matrix_algebra(dim: int = 3) -> RBAlgebra:
 # truncated Laurent elements
 
 
-class LaurentElement:
+class LaurentElement(SparseCarrier):
     """Map exponent -> Fraction on the range [-pole_bound, trunc].
 
     Multiplication drops exponents above ``trunc`` (harmless for the checks,
@@ -211,7 +183,7 @@ class LaurentElement:
     ``coeffs`` gives the Fraction map.
     """
 
-    __slots__ = ("num", "den", "pole_bound", "trunc")
+    __slots__ = ("pole_bound", "trunc")
 
     def __init__(self, coeffs, pole_bound: int, trunc: int):
         if pole_bound < 0 or trunc < 0:
@@ -233,7 +205,7 @@ class LaurentElement:
         self.pole_bound = pole_bound
         self.trunc = trunc
 
-    def _of(self, num: dict, den: int) -> "LaurentElement":
+    def _like(self, num: dict, den: int) -> "LaurentElement":
         """An element with this one's bounds, from in-range numerators."""
         x = object.__new__(LaurentElement)
         x.num, x.den = lowest_terms_sparse(num, den)
@@ -250,23 +222,6 @@ class LaurentElement:
         if (self.pole_bound, self.trunc) != (other.pole_bound, other.trunc):
             raise ValueError("Laurent bounds differ")
 
-    def __add__(self, other: "LaurentElement") -> "LaurentElement":
-        self._match(other)
-        return self._of(*combine_sparse(self.num, self.den, other.num, other.den))
-
-    def __sub__(self, other: "LaurentElement") -> "LaurentElement":
-        self._match(other)
-        return self._of(*combine_sparse(self.num, self.den, other.num, other.den, -1))
-
-    def __neg__(self) -> "LaurentElement":
-        return self._of({e: -c for e, c in self.num.items()}, self.den)
-
-    def __rmul__(self, scalar) -> "LaurentElement":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        p, d = scalar.numerator, scalar.denominator
-        return self._of({e: p * c for e, c in self.num.items()}, self.den * d)
-
     def __mul__(self, other: "LaurentElement") -> "LaurentElement":
         self._match(other)
         out: dict = {}
@@ -281,15 +236,7 @@ class LaurentElement:
                         f"exponent {e} below pole bound -{self.pole_bound}; enlarge the bound"
                     )
                 out[e] = get(e, 0) + c1 * c2
-        return self._of(out, self.den * other.den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentElement):
-            return NotImplemented
-        self._match(other)
-        return self.den == other.den and self.num == other.num
-
-    __hash__ = None
+        return self._like(out, self.den * other.den)
 
     def is_regular(self) -> bool:
         return all(e >= 0 for e in self.num)
@@ -315,7 +262,7 @@ class LaurentElement:
 
 def laurent_pole_projection(x: LaurentElement) -> LaurentElement:
     """Keep the strictly negative exponents: the divergent part."""
-    return x._of({e: c for e, c in x.num.items() if e < 0}, x.den)
+    return x._like({e: c for e, c in x.num.items() if e < 0}, x.den)
 
 
 def laurent_algebra(
@@ -516,7 +463,7 @@ def summation_algebra(window: int = 10) -> RBAlgebra:
 # polynomial functions with exact integration
 
 
-class PolyFunction:
+class PolyFunction(DenseCarrier):
     """Univariate polynomial in t over the rationals, coefficient index = degree.
 
     The cap bounds the representable degree; arithmetic that would exceed it
@@ -525,7 +472,7 @@ class PolyFunction:
     lowest terms; ``coeffs`` gives the Fraction coefficients.
     """
 
-    __slots__ = ("num", "den", "cap")
+    __slots__ = ("cap",)
 
     def __init__(self, coeffs, cap: int = 24):
         self._settle(*over_common_denominator(coeffs), cap)
@@ -539,10 +486,9 @@ class PolyFunction:
         self.num, self.den = lowest_terms(nums[:size], den)
         self.cap = cap
 
-    @classmethod
-    def _of(cls, nums, den: int, cap: int) -> "PolyFunction":
-        p = object.__new__(cls)
-        p._settle(nums, den, cap)
+    def _like(self, nums, den: int) -> "PolyFunction":
+        p = object.__new__(PolyFunction)
+        p._settle(nums, den, self.cap)
         return p
 
     @property
@@ -570,50 +516,17 @@ class PolyFunction:
         if self.cap != other.cap:
             raise ValueError("degree caps differ")
 
-    def _combine(self, op, other: "PolyFunction") -> "PolyFunction":
-        self._match(other)
-        a, b = self.num, other.num
-        pad = len(a) - len(b)
-        if pad > 0:
-            b = b + (0,) * pad
-        elif pad < 0:
-            a = a + (0,) * -pad
-        return PolyFunction._of(*combine_dense(op, a, self.den, b, other.den), self.cap)
-
-    def __add__(self, other: "PolyFunction") -> "PolyFunction":
-        return self._combine(operator.add, other)
-
-    def __sub__(self, other: "PolyFunction") -> "PolyFunction":
-        return self._combine(operator.sub, other)
-
-    def __neg__(self) -> "PolyFunction":
-        return PolyFunction._of([-c for c in self.num], self.den, self.cap)
-
-    def __rmul__(self, scalar) -> "PolyFunction":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        p, d = scalar.numerator, scalar.denominator
-        return PolyFunction._of([p * c for c in self.num], self.den * d, self.cap)
-
     def __mul__(self, other: "PolyFunction") -> "PolyFunction":
         self._match(other)
         a, b = self.num, other.num
         if not a or not b:
-            return PolyFunction._of([], 1, self.cap)
+            return self._like([], 1)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        return PolyFunction._of(out, self.den * other.den, self.cap)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyFunction):
-            return NotImplemented
-        return self.den == other.den and self.num == other.num
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return self._like(out, self.den * other.den)
 
     def __str__(self) -> str:
         if not self.num:
@@ -638,13 +551,11 @@ def riemann_integral(p: PolyFunction) -> PolyFunction:
     if p.degree + 1 > p.cap:
         raise ConfigError(f"integral degree {p.degree + 1} exceeds cap {p.cap}")
     top = math.lcm(*range(1, len(p.num) + 1))
-    return PolyFunction._of(
-        [0] + [c * (top // (n + 1)) for n, c in enumerate(p.num)], p.den * top, p.cap
-    )
+    return p._like([0] + [c * (top // (n + 1)) for n, c in enumerate(p.num)], p.den * top)
 
 
 def polynomial_derivative(p: PolyFunction) -> PolyFunction:
-    return PolyFunction._of([n * c for n, c in enumerate(p.num)][1:], p.den, p.cap)
+    return p._like([n * c for n, c in enumerate(p.num)][1:], p.den)
 
 
 def integration_algebra(cap: int = 24) -> RBAlgebra:

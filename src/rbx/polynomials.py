@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import combine_sparse, lowest_terms_sparse, over_common_denominator
+from .scalars import SparseCarrier, lowest_terms_sparse, over_common_denominator
 
 __all__ = ["Word", "NCPoly", "CPoly"]
 
@@ -80,7 +80,7 @@ def _render(num: dict, den: int, fmt) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-class NCPoly:
+class NCPoly(SparseCarrier):
     """Noncommutative polynomial: finitely supported map Word -> Fraction.
 
     ``num`` maps letter tuples to nonzero integer numerators over the shared
@@ -88,7 +88,7 @@ class NCPoly:
     data.
     """
 
-    __slots__ = ("num", "den", "cap")
+    __slots__ = ("cap",)
 
     _commutative = False
 
@@ -103,12 +103,11 @@ class NCPoly:
         self.num, self.den = lowest_terms_sparse(num, den)
         self.cap = cap
 
-    @classmethod
-    def _of(cls, num: dict, den: int, cap: int | None) -> "NCPoly":
-        """Internal constructor from numerators already within the cap."""
-        p = object.__new__(cls)
+    def _like(self, num: dict, den: int) -> "NCPoly":
+        """A polynomial of this kind and cap, from numerators within the cap."""
+        p = object.__new__(type(self))
         p.num, p.den = lowest_terms_sparse(num, den)
-        p.cap = cap
+        p.cap = self.cap
         return p
 
     @property
@@ -138,31 +137,6 @@ class NCPoly:
         if self.cap != other.cap:
             raise ValueError("degree caps differ")
 
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        self._match(other)
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        return self._of(*combine_sparse(self.num, self.den, other.num, other.den), self.cap)
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        self._match(other)
-        if not other.num:
-            return self
-        return self._of(*combine_sparse(self.num, self.den, other.num, other.den, -1), self.cap)
-
-    def __neg__(self) -> "NCPoly":
-        return self._of({w: -c for w, c in self.num.items()}, self.den, self.cap)
-
-    def __rmul__(self, scalar) -> "NCPoly":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        if scalar == 1:
-            return self
-        p, d = scalar.numerator, scalar.denominator
-        return self._of({w: p * c for w, c in self.num.items()}, self.den * d, self.cap)
-
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         self._match(other)
         cap = self.cap
@@ -178,7 +152,7 @@ class NCPoly:
                 if commutative:
                     w = tuple(sorted(w))
                 out[w] = get(w, 0) + cu * cv
-        return self._of(out, self.den * other.den, cap)
+        return self._like(out, self.den * other.den)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -187,13 +161,6 @@ class NCPoly:
         for _ in range(n):
             acc = acc * self
         return acc
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.cap == other.cap and self.den == other.den and self.num == other.num
-
-    __hash__ = None
 
     def is_zero(self) -> bool:
         return not self.num

@@ -7,7 +7,9 @@ canonical-form equality. The alias ``Rational`` names that choice once.
 Carriers store their coefficients more cheaply, as integer numerators over
 one shared positive denominator. The helpers at the end of this module keep
 that form canonical (lowest terms, no stored zeros in sparse maps), so
-carrier equality stays plain equality of the stored integers.
+carrier equality stays plain equality of the stored integers, and the bases
+``DenseCarrier`` (a numerator tuple) and ``SparseCarrier`` (a numerator map)
+hold the linear arithmetic and equality every carrier shares.
 
 Bernoulli numbers follow the x/(e^x - 1) convention, i.e. B_1 = -1/2.
 """
@@ -15,6 +17,7 @@ Bernoulli numbers follow the x/(e^x - 1) convention, i.e. B_1 = -1/2.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 __all__ = ["Rational", "BernoulliTable", "bernoulli", "parse_rational"]
@@ -112,34 +115,121 @@ def lowest_terms_sparse(num: dict, den: int) -> tuple:
     return num, den
 
 
-def _rebase(da: int, db: int) -> tuple:
-    """Multipliers bringing denominators da and db to their lcm."""
+def _over_lcm(da: int, db: int) -> tuple:
+    """Multipliers bringing denominators da and db to their lcm, and the lcm."""
     g = math.gcd(da, db)
-    return db // g, da // g
+    return db // g, da // g, da * (db // g)
 
 
-def combine_dense(op, a, da: int, b, db: int) -> tuple:
-    """Entrywise op (add or sub) of two equal-length numerator vectors."""
-    if da != db:
-        fa, fb = _rebase(da, db)
-        a = [c * fa for c in a]
-        b = [c * fb for c in b]
-        da *= fa
-    return lowest_terms(list(map(op, a, b)), da)
+class DenseCarrier:
+    """Arithmetic shared by carriers stored as a numerator tuple over ``den``.
+
+    A subclass adds its shape (a dimension, a degree cap) and two hooks:
+    ``_like(nums, den)`` builds an element of its own shape from unreduced
+    numerators, reducing them to lowest terms, and ``_match(other)`` raises
+    ``ValueError`` when the shapes differ. Shorter numerator tuples are read
+    as padded with zeros.
+    """
+
+    __slots__ = ("num", "den")
+
+    def _aligned(self, other) -> tuple:
+        """Both numerator tuples over the lcm of the denominators, one length."""
+        self._match(other)
+        a, b, da, db = self.num, other.num, self.den, other.den
+        pad = len(a) - len(b)
+        if pad > 0:
+            b = b + (0,) * pad
+        elif pad < 0:
+            a = a + (0,) * -pad
+        if da != db:
+            fa, fb, da = _over_lcm(da, db)
+            a = [c * fa for c in a]
+            b = [c * fb for c in b]
+        return a, b, da
+
+    def __add__(self, other):
+        a, b, den = self._aligned(other)
+        return self._like(list(map(operator.add, a, b)), den)
+
+    def __sub__(self, other):
+        a, b, den = self._aligned(other)
+        return self._like(list(map(operator.sub, a, b)), den)
+
+    def __neg__(self):
+        return self._like([-c for c in self.num], self.den)
+
+    def __rmul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        if scalar == 1:
+            return self
+        p = scalar.numerator
+        return self._like([p * c for c in self.num], self.den * scalar.denominator)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        self._match(other)
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
 
-def combine_sparse(a: dict, da: int, b: dict, db: int, sign: int = 1) -> tuple:
-    """a + sign * b for numerator maps over their own denominators."""
-    if da == db:
-        out = dict(a)
-    else:
-        fa, fb = _rebase(da, db)
-        out = {k: c * fa for k, c in a.items()}
-        if fb != 1:
+class SparseCarrier:
+    """Arithmetic shared by carriers stored as a numerator map over ``den``.
+
+    The map holds no zeros. Subclasses supply the same two hooks as
+    ``DenseCarrier``: ``_like(num, den)``, which reduces and drops zeros, and
+    ``_match(other)``.
+    """
+
+    __slots__ = ("num", "den")
+
+    def _plus(self, other, sign: int):
+        """self + sign * other."""
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if da == db:
+            out = dict(a)
+        else:
+            fa, fb, da = _over_lcm(da, db)
+            out = {k: c * fa for k, c in a.items()}
             sign *= fb
-        da *= fa
-    get = out.get
-    for k, c in b.items():
-        out[k] = get(k, 0) + sign * c
-    return lowest_terms_sparse(out, da)
+        get = out.get
+        for k, c in b.items():
+            out[k] = get(k, 0) + sign * c
+        return self._like(out, da)
 
+    def __add__(self, other):
+        self._match(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        self._match(other)
+        if not other.num:
+            return self
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.num.items()}, self.den)
+
+    def __rmul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        if scalar == 1:
+            return self
+        p = scalar.numerator
+        return self._like({k: p * c for k, c in self.num.items()}, self.den * scalar.denominator)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        self._match(other)
+        return self.den == other.den and self.num == other.num
+
+    __hash__ = None

@@ -180,33 +180,34 @@ def check_operator_ybe(
         rb = alg.rb
     br = _bracket
 
-    def up(x, y):
-        return br(x, rb(y))
+    def br_r(x, rx, y, ry):
+        """[x, y]_R = [R(x), y] + [x, R(y)], given R(x) and R(y)."""
+        return br(rx, y) + br(x, ry)
 
-    def down(x, y):
-        return br(rb(x), y)
-
-    def br_r(x, y):
-        return br(rb(x), y) + br(x, rb(y))
-
+    # up(x, y) = [x, R(y)] and down(x, y) = [R(x), y], written out below so
+    # that each R value is computed once per sample
     for x, y in plan.pairs(alg):
-        lhs = br(rb(x), rb(y))
-        rhs = rb(br_r(x, y))
+        rx, ry = rb(x), rb(y)
+        bracket = br_r(x, rx, y, ry)
+        lhs = br(rx, ry)
+        rhs = rb(bracket)
         if not lhs == rhs:
             return CheckResult.bad(name, anchor, f"x={x}; y={y}; lhs={lhs}; rhs={rhs}")
-        split = up(x, y) - up(y, x)
-        if not br_r(x, y) == split:
-            return CheckResult.bad(name, anchor, f"x={x}; y={y}; bracket={br_r(x, y)}; split={split}")
+        split = br(x, ry) - br(y, rx)
+        if not bracket == split:
+            return CheckResult.bad(name, anchor, f"x={x}; y={y}; bracket={bracket}; split={split}")
     for x, y, z in plan.triples(alg):
-        jac = br_r(br_r(x, y), z) + br_r(br_r(y, z), x) + br_r(br_r(z, x), y)
+        rx, ry, rz = rb(x), rb(y), rb(z)
+        xy, yz, zx = br_r(x, rx, y, ry), br_r(y, ry, z, rz), br_r(z, rz, x, rx)
+        jac = br_r(xy, rb(xy), z, rz) + br_r(yz, rb(yz), x, rx) + br_r(zx, rb(zx), y, ry)
         if not jac == alg.zero:
             return CheckResult.bad(name, anchor, f"jacobi x={x}; y={y}; z={z}; value={jac}")
-        lhs = up(up(x, y), z) - up(x, up(y, z))
-        rhs = up(up(x, z), y) - up(x, up(z, y))
+        lhs = br(br(x, ry), rz) - br(x, rb(br(y, rz)))
+        rhs = br(br(x, rz), ry) - br(x, rb(br(z, ry)))
         if not lhs == rhs:
             return CheckResult.bad(name, anchor, f"up not right pre-Lie: x={x}; y={y}; z={z}")
-        lhs = down(down(x, y), z) - down(x, down(y, z))
-        rhs = down(down(y, x), z) - down(y, down(x, z))
+        lhs = br(rb(br(rx, y)), z) - br(rx, br(ry, z))
+        rhs = br(rb(br(ry, x)), z) - br(ry, br(rx, z))
         if not lhs == rhs:
             return CheckResult.bad(name, anchor, f"down not left pre-Lie: x={x}; y={y}; z={z}")
     return CheckResult.ok(name, anchor)
@@ -224,24 +225,29 @@ def check_modified_ybe(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
     def b(x):
         return b_operator(alg, x)
 
-    def br_b(x, y):
-        return half * (br(b(x), y) + br(x, b(y)))
+    def br_b(x, bx, y, by):
+        """The halved bracket (1/2)([B(x), y] + [x, B(y)]), given B(x) and B(y)."""
+        return half * (br(bx, y) + br(x, by))
 
     for x, y in plan.pairs(alg):
-        lhs = b(x) * b(y)
-        rhs = b(b(x) * y + x * b(y)) - theta**2 * (x * y)
+        bx, by = b(x), b(y)
+        split = bx * y + x * by
+        lhs = bx * by
+        rhs = b(split) - theta**2 * (x * y)
         if not lhs == rhs:
             return CheckResult.bad(name, anchor, f"x={x}; y={y}; lhs={lhs}; rhs={rhs}")
-        lhs = br(b(x), b(y))
-        rhs = b(br(b(x), y) + br(x, b(y))) - theta**2 * br(x, y)
+        lhs = br(bx, by)
+        rhs = b(br(bx, y) + br(x, by)) - theta**2 * br(x, y)
         if not lhs == rhs:
             return CheckResult.bad(name, anchor, f"lie form: x={x}; y={y}; lhs={lhs}; rhs={rhs}")
         lhs = double_product(alg, x, y)
-        rhs = half * (b(x) * y + x * b(y))
+        rhs = half * split
         if not lhs == rhs:
             return CheckResult.bad(name, anchor, f"rewrite: x={x}; y={y}; lhs={lhs}; rhs={rhs}")
     for x, y, z in plan.triples(alg):
-        jac = br_b(br_b(x, y), z) + br_b(br_b(y, z), x) + br_b(br_b(z, x), y)
+        bx, by, bz = b(x), b(y), b(z)
+        xy, yz, zx = br_b(x, bx, y, by), br_b(y, by, z, bz), br_b(z, bz, x, bx)
+        jac = br_b(xy, b(xy), z, bz) + br_b(yz, b(yz), x, bx) + br_b(zx, b(zx), y, by)
         if not jac == alg.zero:
             return CheckResult.bad(name, anchor, f"jacobi x={x}; y={y}; z={z}; value={jac}")
     return CheckResult.ok(name, anchor)

@@ -202,8 +202,17 @@ class TestRunSuite:
         assert sorted(calls) == carriers
 
     def test_weight_rescale_refuses_weight_zero_models(self):
-        with pytest.raises(ConfigError):
-            run_suite(SuiteConfig(suite="rb-laws", weight=Fraction(2), trials=3))
+        with pytest.raises(ConfigError, match="weight-0 model integration"):
+            run_suite(SuiteConfig(suite="rb-laws", model="integration", weight=Fraction(2), trials=3))
+
+    @pytest.mark.parametrize("suite", ["atkinson", "rb-laws"])
+    def test_bare_weight_skips_weight_zero_models(self, suite, capsys):
+        argv = ["verify", "--suite", suite, "--weight=2", "--order", "2", "--format", "json"]
+        rc = main(argv + FAST)
+        out = capsys.readouterr().out
+        assert rc == 0
+        checks = [c["name"] for c in json.loads(out)["checks"]]
+        assert checks and not [name for name in checks if "integration" in name]
 
     def test_deterministic_modulo_elapsed(self):
         cfg = SuiteConfig(suite="quasi-shuffle", trials=5)

@@ -9,6 +9,7 @@ from rbx import (
     CPoly,
     LaurentElement,
     MonoidAlphabet,
+    NCPoly,
     PolyFunction,
     RatMatrix,
     SeqElement,
@@ -248,3 +249,29 @@ def test_vector_field_prelie():
     t = PolyFunction.monomial(1)
     t2 = PolyFunction.monomial(2)
     assert t * polynomial_derivative(t2) == 2 * t2
+
+
+# Two carriers of one class but different shapes: + - * raise ValueError, and
+# so does ==. Carriers of different classes are unequal. The third entry is
+# what == gives on the pair (their coefficients agree), or the error it raises.
+SHAPES = {
+    "matrix dims": (RatMatrix.identity(2), RatMatrix.identity(3), ValueError),
+    "polynomial caps": (PolyFunction([1], 24), PolyFunction([1], 30), ValueError),
+    "laurent bounds": (LaurentElement({0: 1}, 4, 6), LaurentElement({0: 1}, 4, 8), ValueError),
+    "word caps": (NCPoly.one(4), NCPoly.one(5), ValueError),
+    "nc against comm": (NCPoly.one(4), CPoly.one(4), False),
+    "comm against nc": (CPoly.one(4), NCPoly.one(4), False),
+}
+
+
+@pytest.mark.parametrize("case", SHAPES)
+def test_mismatched_shapes(case):
+    a, b, eq = SHAPES[case]
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        with pytest.raises(ValueError):
+            op()
+    if eq is ValueError:
+        with pytest.raises(ValueError):
+            a == b
+    else:
+        assert (a == b) is eq and (a != b) is not eq
