@@ -9,7 +9,8 @@ Conventions fixed here once:
 * a "source" series z feeds equations as l = 1 + lambda R(l z); a plain
   element x is the constant source series. Bogoliubov instead consumes a
   series with zero constant term and no extra lambda shift, matching the
-  degree-by-degree renormalization recursion f_n = R((f x)_n).
+  degree-by-degree renormalization recursion f_n = R((f x)_n): its f is the
+  left fixed point of the source x / lambda.
 * the Magnus recursion is Omega = lambda z + sum_n ((-1)^n B_n / n!)
   ell^n_{Omega |>}(lambda z). The commutative closed form
   theta^{-1} log(1 + theta F) pins the sign convention; the recursion
@@ -21,6 +22,9 @@ Conventions fixed here once:
   f = 1 + lambda R(fx) this forces x # y = y + exp(-ell_{Omega'(y) |>})(x);
   the variant with x and y swapped composes the factors in the opposite
   order (verified by expanding grade 2: the correction must be -y |> x).
+* BCH in either product is log(1 + A + B + A B) with A = exp(a) - 1 and
+  B = exp(b) - 1. The double product has no unit: the grade-0 one of these
+  series is a formal marker that no product reads.
 * the partitions closed form carries (-theta)^{n - |pi|}. The n = 2 case
   F1 * F2 - theta F2 F1 = R(F1)F2 + R(F2)F1 forces the sign.
 """
@@ -30,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +43,7 @@ from .combinat import Permutation, canonical_cycles, permutations, set_partition
 from .errors import ConfigError
 from .report import CheckResult
 from .scalars import bernoulli
-from .series import LambdaSeries, series_exp, series_inverse, series_log
+from .series import LambdaSeries, series_exp, series_inverse, series_log, series_mul
 
 __all__ = [
     "FixedPointSolution",
@@ -186,19 +191,14 @@ def check_atkinson(
 def bogoliubov_decompose(alg: RBAlgebra, x: LambdaSeries):
     """Solve f = 1 + R(fx) and h^-1 = 1 - Rtilde(fx) degree by degree.
 
-    x must have zero constant term; the grading lives inside x itself.
+    x must have zero constant term; the grading lives inside x itself, so f
+    is the left fixed point of the source x / lambda. Since -Rtilde(w) =
+    R(w) + theta w, h^-1 = f + theta fx.
     """
     if not x.coefficient(0) == alg.zero:
         raise ValueError("source series must have zero constant term")
-    f = [alg.one]
-    hinv = [alg.one]
-    for n in range(1, x.order + 1):
-        w = alg.zero
-        for i in range(n):
-            w = w + f[i] * x.coefficient(n - i)
-        f.append(alg.rb(w))
-        hinv.append(-tilde_operator(alg, w))
-    return LambdaSeries(alg, tuple(f)), LambdaSeries(alg, tuple(hinv))
+    f = solve_fixed_point_series(alg, LambdaSeries(alg, x.coeffs[1:] + (alg.zero,)))
+    return f, f + alg.weight * series_mul(f, x, 0, 1)
 
 
 def check_bogoliubov(alg: RBAlgebra, x: LambdaSeries) -> CheckResult:
@@ -243,19 +243,6 @@ def _prelie_grade(alg: RBAlgebra, w, t, g: int, low: int):
     for i in range(1, g - low + 1):
         acc = acc + prelie_left(alg, w[i], t[g - i])
     return acc
-
-
-def _apply_prelie_series(
-    alg: RBAlgebra, w: LambdaSeries, t: LambdaSeries, low: int = 0
-) -> LambdaSeries:
-    """w |> t, using only w grades >= 1, where t vanishes below grade low.
-
-    The result vanishes below grade low + 1, and those grades are not computed.
-    """
-    top = t.order + 1
-    out = [alg.zero] * min(low + 1, top)
-    out += [_prelie_grade(alg, w.coeffs, t.coeffs, g, low) for g in range(low + 1, top)]
-    return LambdaSeries(alg, out)
 
 
 def prelie_magnus_of_series(alg: RBAlgebra, z: LambdaSeries, order: int) -> LambdaSeries:
@@ -440,75 +427,18 @@ def check_bohnenblust_spitzer(ops: BSOperands, form: str) -> CheckResult:
 # BCH in the carrier and double products
 
 
-class _Unitized:
-    """Formal unit adjoined to the (nonunital) double product."""
-
-    __slots__ = ("alg",)
-
-    def __init__(self, alg: RBAlgebra):
-        self.alg = alg
-
-    @property
-    def zero(self) -> "_UnitizedElement":
-        return _UnitizedElement(self, Fraction(0), self.alg.zero)
-
-    @property
-    def one(self) -> "_UnitizedElement":
-        return _UnitizedElement(self, Fraction(1), self.alg.zero)
-
-
-class _UnitizedElement:
-    __slots__ = ("carrier", "scalar", "body")
-
-    def __init__(self, carrier: _Unitized, scalar: Fraction, body):
-        self.carrier = carrier
-        self.scalar = Fraction(scalar)
-        self.body = body
-
-    def __add__(self, other: "_UnitizedElement") -> "_UnitizedElement":
-        return _UnitizedElement(self.carrier, self.scalar + other.scalar, self.body + other.body)
-
-    def __sub__(self, other: "_UnitizedElement") -> "_UnitizedElement":
-        return self + (-other)
-
-    def __neg__(self) -> "_UnitizedElement":
-        return _UnitizedElement(self.carrier, -self.scalar, -self.body)
-
-    def __rmul__(self, scalar) -> "_UnitizedElement":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        q = Fraction(scalar)
-        return _UnitizedElement(self.carrier, q * self.scalar, q * self.body)
-
-    def __mul__(self, other: "_UnitizedElement") -> "_UnitizedElement":
-        body = self.scalar * other.body + other.scalar * self.body
-        body = body + double_product(self.carrier.alg, self.body, other.body)
-        return _UnitizedElement(self.carrier, self.scalar * other.scalar, body)
-
-    def __eq__(self, other) -> bool:
-        return self.scalar == other.scalar and self.body == other.body
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        return f"{self.scalar}*unit + {self.body}"
-
-
 def bch_of_series(alg: RBAlgebra, a: LambdaSeries, b: LambdaSeries, product: str = "carrier") -> LambdaSeries:
-    """log(exp(a) exp(b)) for series with zero constant coefficient."""
+    """log(exp(a) exp(b)) for series with zero constant coefficient, as
+    log(1 + A + B + A B) with A = exp(a) - 1 and B = exp(b) - 1."""
     if product == "carrier":
-        return series_log(series_exp(a) * series_exp(b))
-    if product != "double":
+        mul = operator.mul
+    elif product == "double":
+        mul = lambda u, v: double_product(alg, u, v)
+    else:
         raise ValueError(f"unknown product {product!r}")
-    dc = _Unitized(alg)
-    lift = lambda s: LambdaSeries(
-        dc, tuple(_UnitizedElement(dc, Fraction(0), c) for c in s.coeffs)
-    )
-    out = series_log(series_exp(lift(a)) * series_exp(lift(b)))
-    for k in range(out.order + 1):
-        if out.coefficient(k).scalar != 0:
-            raise ArithmeticError("unit component leaked into a BCH coefficient")
-    return LambdaSeries(alg, tuple(c.body for c in out.coeffs))
+    one = LambdaSeries.one(alg, a.order)
+    big_a, big_b = series_exp(a, mul) - one, series_exp(b, mul) - one
+    return series_log(one + big_a + big_b + series_mul(big_a, big_b, 1, 1, mul), mul)
 
 
 def bch_series(alg: RBAlgebra, a, b, order: int, product: str = "carrier") -> LambdaSeries:
@@ -535,10 +465,12 @@ def flows_product(
     """
     if omega_y is None:
         omega_y = prelie_magnus(alg, y, order).omega
+    omega_y = omega_y.truncate(order)
+    act = lambda u, v: prelie_left(alg, u, v)
     term = _constant_source(alg, x, order)
     acc = term
     for k in range(1, order + 1):
-        term = _apply_prelie_series(alg, omega_y, term, k - 1)
+        term = series_mul(omega_y, term, 1, k - 1, act)
         acc = acc + Fraction((-1) ** k, math.factorial(k)) * term
     return acc + _constant_source(alg, y, order)
 

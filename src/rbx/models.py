@@ -93,7 +93,7 @@ class RatMatrix(DenseCarrier):
     def _like(self, nums: list, den: int) -> "RatMatrix":
         return RatMatrix._of(self.dim, nums, den)
 
-    def _match(self, other: "RatMatrix") -> None:
+    def _match_shape(self, other: "RatMatrix") -> None:
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
 
@@ -218,7 +218,7 @@ class LaurentElement(SparseCarrier):
         den = self.den
         return {e: Fraction(c, den) for e, c in self.num.items()}
 
-    def _match(self, other: "LaurentElement") -> None:
+    def _match_shape(self, other: "LaurentElement") -> None:
         if (self.pole_bound, self.trunc) != (other.pole_bound, other.trunc):
             raise ValueError("Laurent bounds differ")
 
@@ -512,7 +512,7 @@ class PolyFunction(DenseCarrier):
     def degree(self) -> int:
         return len(self.num) - 1  # -1 for the zero polynomial
 
-    def _match(self, other: "PolyFunction") -> None:
+    def _match_shape(self, other: "PolyFunction") -> None:
         if self.cap != other.cap:
             raise ValueError("degree caps differ")
 

@@ -131,9 +131,7 @@ class NCPoly(SparseCarrier):
     def from_word(cls, w: Word, coeff=1, cap: int | None = None) -> "NCPoly":
         return cls({w: Fraction(coeff)}, cap)
 
-    def _match(self, other: "NCPoly") -> None:
-        if type(self) is not type(other):
-            raise ValueError("polynomial kinds differ")
+    def _match_shape(self, other: "NCPoly") -> None:
         if self.cap != other.cap:
             raise ValueError("degree caps differ")
 

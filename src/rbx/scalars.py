@@ -121,17 +121,35 @@ def _over_lcm(da: int, db: int) -> tuple:
     return db // g, da // g, da * (db // g)
 
 
-class DenseCarrier:
+class _Carrier:
+    """The operand check and equality both carrier bases share."""
+
+    __slots__ = ("num", "den")
+
+    def _match(self, other) -> None:
+        """Raise ``ValueError`` unless other has this class and shape."""
+        if type(other) is not type(self):
+            raise ValueError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        self._match_shape(other)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        self._match_shape(other)
+        return self.den == other.den and self.num == other.num
+
+
+class DenseCarrier(_Carrier):
     """Arithmetic shared by carriers stored as a numerator tuple over ``den``.
 
     A subclass adds its shape (a dimension, a degree cap) and two hooks:
     ``_like(nums, den)`` builds an element of its own shape from unreduced
-    numerators, reducing them to lowest terms, and ``_match(other)`` raises
-    ``ValueError`` when the shapes differ. Shorter numerator tuples are read
-    as padded with zeros.
+    numerators, reducing them to lowest terms, and ``_match_shape(other)``
+    raises ``ValueError`` when the shapes differ; ``_match`` checks the class
+    first. Shorter numerator tuples are read as padded with zeros.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
     def _aligned(self, other) -> tuple:
         """Both numerator tuples over the lcm of the denominators, one length."""
@@ -167,25 +185,19 @@ class DenseCarrier:
         p = scalar.numerator
         return self._like([p * c for c in self.num], self.den * scalar.denominator)
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        self._match(other)
-        return self.den == other.den and self.num == other.num
-
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
 
-class SparseCarrier:
+class SparseCarrier(_Carrier):
     """Arithmetic shared by carriers stored as a numerator map over ``den``.
 
     The map holds no zeros. Subclasses supply the same two hooks as
     ``DenseCarrier``: ``_like(num, den)``, which reduces and drops zeros, and
-    ``_match(other)``.
+    ``_match_shape(other)``.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
     def _plus(self, other, sign: int):
         """self + sign * other."""
@@ -225,11 +237,5 @@ class SparseCarrier:
             return self
         p = scalar.numerator
         return self._like({k: p * c for k, c in self.num.items()}, self.den * scalar.denominator)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        self._match(other)
-        return self.den == other.den and self.num == other.num
 
     __hash__ = None

@@ -1,14 +1,18 @@
-"""Truncated formal power series in a formal parameter over a unital carrier.
+"""Truncated formal power series in a formal parameter over a carrier.
 
 A series holds coefficients 0..N in some algebra; all arithmetic truncates at
 order N, which makes every computation exact in the graded sense. The carrier
 is any object with ``zero`` and ``one`` attributes whose elements support
-``+``, ``-``, ``*`` and left multiplication by ``Fraction``.
+``+``, ``-`` and left multiplication by ``Fraction``. Products take a
+bilinear map ``mul``, ``*`` by default. exp and log multiply only
+coefficients of grade >= 1, so ``mul`` needs no unit: the grade-0 ``one`` is
+a formal marker that no product reads.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 __all__ = [
@@ -99,8 +103,11 @@ class LambdaSeries:
         return "LambdaSeries[" + "; ".join(str(c) for c in self.coeffs) + "]"
 
 
-def series_mul(a: LambdaSeries, b: LambdaSeries, low_a: int = 0, low_b: int = 0) -> LambdaSeries:
-    """Cauchy product truncated at the common order.
+def series_mul(
+    a: LambdaSeries, b: LambdaSeries, low_a: int = 0, low_b: int = 0, mul=operator.mul
+) -> LambdaSeries:
+    """Cauchy product truncated at the common order, coefficients multiplied by
+    the bilinear map mul.
 
     a vanishes below grade low_a and b below grade low_b, so the product
     vanishes below low_a + low_b; only the grades and terms that can be
@@ -113,13 +120,14 @@ def series_mul(a: LambdaSeries, b: LambdaSeries, low_a: int = 0, low_b: int = 0)
     for k in range(low_a + low_b, n + 1):
         acc = zero
         for i in range(low_a, k - low_b + 1):
-            acc = acc + a.coeffs[i] * b.coeffs[k - i]
+            acc = acc + mul(a.coeffs[i], b.coeffs[k - i])
         out.append(acc)
     return LambdaSeries(a.carrier, out)
 
 
-def _power_sum(u: LambdaSeries, head, scale) -> LambdaSeries:
-    """head + sum_{k=1..N} scale(k) u^k for u with zero constant term.
+def _power_sum(u: LambdaSeries, head, scale, mul) -> LambdaSeries:
+    """head + sum_{k=1..N} scale(k) u^k for u with zero constant term, powers
+    taken with the bilinear map mul.
 
     u^k vanishes below grade k, so each power is multiplied out from grade k
     and adds only to grades k..N.
@@ -132,23 +140,23 @@ def _power_sum(u: LambdaSeries, head, scale) -> LambdaSeries:
         for g in range(k, n + 1):
             out[g] = out[g] + c * power.coeffs[g]
         if k < n:
-            power = series_mul(power, u, k, 1)
+            power = series_mul(power, u, k, 1, mul)
     return LambdaSeries(u.carrier, out)
 
 
-def series_log(a: LambdaSeries) -> LambdaSeries:
+def series_log(a: LambdaSeries, mul=operator.mul) -> LambdaSeries:
     """log(a) = sum_{k>=1} (-1)^{k+1} (a-1)^k / k, requires a_0 = 1."""
     if a.coeffs[0] != a.carrier.one:
         raise ValueError("series_log needs unit constant term")
     u = a - LambdaSeries.one(a.carrier, a.order)
-    return _power_sum(u, a.carrier.zero, lambda k: Fraction(1 if k % 2 == 1 else -1, k))
+    return _power_sum(u, a.carrier.zero, lambda k: Fraction(1 if k % 2 == 1 else -1, k), mul)
 
 
-def series_exp(a: LambdaSeries) -> LambdaSeries:
+def series_exp(a: LambdaSeries, mul=operator.mul) -> LambdaSeries:
     """exp(a) = sum_{k>=0} a^k / k!, requires a_0 = 0."""
     if a.coeffs[0] != a.carrier.zero:
         raise ValueError("series_exp needs zero constant term")
-    return _power_sum(a, a.carrier.one, lambda k: Fraction(1, math.factorial(k)))
+    return _power_sum(a, a.carrier.one, lambda k: Fraction(1, math.factorial(k)), mul)
 
 
 def series_inverse(a: LambdaSeries) -> LambdaSeries:

@@ -163,21 +163,16 @@ def check_dendriform(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
     return CheckResult.ok(name, anchor)
 
 
-def check_operator_ybe(
-    alg: RBAlgebra, rb=None, plan: SamplePlan = SamplePlan("exhaustive")
-) -> CheckResult:
+def check_operator_ybe(alg: RBAlgebra, plan: SamplePlan = SamplePlan("exhaustive")) -> CheckResult:
     """Operator classical YBE and the pre-Lie nature of the split brackets,
-    for the commutator bracket of the algebra's carrier.
-
-    With no explicit operator the carrier's own R is used, which must then
-    have weight 0.
+    for the commutator bracket of the algebra's carrier and its operator R,
+    which must have weight 0.
     """
     name = f"operator-ybe/{alg.name}/{plan.mode}"
     anchor = "Eq. (ybc)"
-    if rb is None:
-        if alg.weight != 0:
-            raise ConfigError(f"operator YBE needs weight 0, got {alg.weight}")
-        rb = alg.rb
+    if alg.weight != 0:
+        raise ConfigError(f"operator YBE needs weight 0, got {alg.weight}")
+    rb = alg.rb
     br = _bracket
 
     def br_r(x, rx, y, ry):

@@ -1,10 +1,14 @@
 """Reference series layer: the Magnus, flows, log and exp code before the
-grade-aware rewrite.
+grade-aware rewrite, and BCH and Bogoliubov before series products took a
+bilinear map.
 
 ``_apply_prelie_series``, ``prelie_magnus_of_series``, ``flows_product``,
 ``series_log`` and ``series_exp`` are kept verbatim as they stood when every
 ell^n tower was rebuilt for each grade and every power u^k was multiplied out
-from grade 0. They are the oracle for the differential tests in
+from grade 0. ``bch_of_series`` is kept verbatim as it stood when the double
+product got a formal unit adjoined through ``_Unitized``, and
+``bogoliubov_decompose`` as it stood when it ran its own degree-by-degree
+recursion. They are the oracle for the differential tests in
 ``test_series_layer.py``: the rewritten functions must give the same
 coefficients. They are not part of the package.
 """
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from rbx.algebra import RBAlgebra, prelie_left
+from rbx.algebra import RBAlgebra, double_product, prelie_left, tilde_operator
 from rbx.identities import MagnusExpansion
 from rbx.scalars import bernoulli
 from rbx.series import LambdaSeries
@@ -107,3 +111,92 @@ def series_exp(a: LambdaSeries) -> LambdaSeries:
         if k < n:
             power = power * a
     return out
+
+
+def bogoliubov_decompose(alg: RBAlgebra, x: LambdaSeries):
+    """Solve f = 1 + R(fx) and h^-1 = 1 - Rtilde(fx) degree by degree.
+
+    x must have zero constant term; the grading lives inside x itself.
+    """
+    if not x.coefficient(0) == alg.zero:
+        raise ValueError("source series must have zero constant term")
+    f = [alg.one]
+    hinv = [alg.one]
+    for n in range(1, x.order + 1):
+        w = alg.zero
+        for i in range(n):
+            w = w + f[i] * x.coefficient(n - i)
+        f.append(alg.rb(w))
+        hinv.append(-tilde_operator(alg, w))
+    return LambdaSeries(alg, tuple(f)), LambdaSeries(alg, tuple(hinv))
+
+
+class _Unitized:
+    """Formal unit adjoined to the (nonunital) double product."""
+
+    __slots__ = ("alg",)
+
+    def __init__(self, alg: RBAlgebra):
+        self.alg = alg
+
+    @property
+    def zero(self) -> "_UnitizedElement":
+        return _UnitizedElement(self, Fraction(0), self.alg.zero)
+
+    @property
+    def one(self) -> "_UnitizedElement":
+        return _UnitizedElement(self, Fraction(1), self.alg.zero)
+
+
+class _UnitizedElement:
+    __slots__ = ("carrier", "scalar", "body")
+
+    def __init__(self, carrier: _Unitized, scalar: Fraction, body):
+        self.carrier = carrier
+        self.scalar = Fraction(scalar)
+        self.body = body
+
+    def __add__(self, other: "_UnitizedElement") -> "_UnitizedElement":
+        return _UnitizedElement(self.carrier, self.scalar + other.scalar, self.body + other.body)
+
+    def __sub__(self, other: "_UnitizedElement") -> "_UnitizedElement":
+        return self + (-other)
+
+    def __neg__(self) -> "_UnitizedElement":
+        return _UnitizedElement(self.carrier, -self.scalar, -self.body)
+
+    def __rmul__(self, scalar) -> "_UnitizedElement":
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        q = Fraction(scalar)
+        return _UnitizedElement(self.carrier, q * self.scalar, q * self.body)
+
+    def __mul__(self, other: "_UnitizedElement") -> "_UnitizedElement":
+        body = self.scalar * other.body + other.scalar * self.body
+        body = body + double_product(self.carrier.alg, self.body, other.body)
+        return _UnitizedElement(self.carrier, self.scalar * other.scalar, body)
+
+    def __eq__(self, other) -> bool:
+        return self.scalar == other.scalar and self.body == other.body
+
+    __hash__ = None
+
+    def __str__(self) -> str:
+        return f"{self.scalar}*unit + {self.body}"
+
+
+def bch_of_series(alg: RBAlgebra, a: LambdaSeries, b: LambdaSeries, product: str = "carrier") -> LambdaSeries:
+    """log(exp(a) exp(b)) for series with zero constant coefficient."""
+    if product == "carrier":
+        return series_log(series_exp(a) * series_exp(b))
+    if product != "double":
+        raise ValueError(f"unknown product {product!r}")
+    dc = _Unitized(alg)
+    lift = lambda s: LambdaSeries(
+        dc, tuple(_UnitizedElement(dc, Fraction(0), c) for c in s.coeffs)
+    )
+    out = series_log(series_exp(lift(a)) * series_exp(lift(b)))
+    for k in range(out.order + 1):
+        if out.coefficient(k).scalar != 0:
+            raise ArithmeticError("unit component leaked into a BCH coefficient")
+    return LambdaSeries(alg, tuple(c.body for c in out.coeffs))

@@ -252,8 +252,9 @@ def test_vector_field_prelie():
 
 
 # Two carriers of one class but different shapes: + - * raise ValueError, and
-# so does ==. Carriers of different classes are unequal. The third entry is
-# what == gives on the pair (their coefficients agree), or the error it raises.
+# so does ==. Carriers of different classes raise ValueError on + - * too, and
+# are unequal. The third entry is what == gives on the pair (their
+# coefficients agree), or the error it raises.
 SHAPES = {
     "matrix dims": (RatMatrix.identity(2), RatMatrix.identity(3), ValueError),
     "polynomial caps": (PolyFunction([1], 24), PolyFunction([1], 30), ValueError),
@@ -261,6 +262,11 @@ SHAPES = {
     "word caps": (NCPoly.one(4), NCPoly.one(5), ValueError),
     "nc against comm": (NCPoly.one(4), CPoly.one(4), False),
     "comm against nc": (CPoly.one(4), NCPoly.one(4), False),
+    "matrix against polynomial": (RatMatrix.identity(2), PolyFunction([1]), False),
+    "polynomial against matrix": (PolyFunction([1]), RatMatrix.identity(2), False),
+    "laurent against words": (LaurentElement({0: 1}, 4, 6), NCPoly.one(4), False),
+    "words against laurent": (NCPoly.one(4), LaurentElement({0: 1}, 4, 6), False),
+    "polynomial against words": (PolyFunction([1], 4), NCPoly.one(4), False),
 }
 
 

@@ -5,6 +5,10 @@ coefficient they know to be zero and compute each tower entry once. The
 functions in ``reference_series`` rebuild everything from grade 0; both must
 give the same coefficients at every truncation order N = 1..8 on the matrix,
 Laurent, summation and both standard carriers.
+
+BCH in the double product runs without an adjoined unit, and Bogoliubov
+through the left fixed point; both must match the reference unitized
+carrier and recursion coefficientwise.
 """
 
 import random
@@ -18,6 +22,8 @@ from rbx import (
     LaurentElement,
     RatMatrix,
     SuiteConfig,
+    bch_series,
+    bogoliubov_decompose,
     check_flows_bch,
     check_flows_product_law,
     flows_product,
@@ -26,7 +32,8 @@ from rbx import (
 )
 from rbx import identities
 from rbx.cli import default_models
-from rbx.identities import _apply_prelie_series, prelie_magnus_of_series
+from rbx.algebra import prelie_left
+from rbx.identities import bch_of_series, prelie_magnus_of_series
 from rbx.series import series_exp, series_log, series_mul
 
 ORDERS = range(1, 9)
@@ -95,11 +102,52 @@ def test_log_and_exp_match_the_reference(name):
 def test_prelie_series_grade_skip_matches_the_reference(name):
     alg, x, y = _sources(name)
     w = _mixed_source(alg, x, y, 6)
+    act = lambda u, v: prelie_left(alg, u, v)
     for low in range(8):
         t = LambdaSeries(alg, tuple(alg.zero if k < low else (x, y)[k % 2] for k in range(7)))
-        got = _apply_prelie_series(alg, w, t, low)
+        got = series_mul(w, t, 1, low, mul=act)
         assert got == ref._apply_prelie_series(alg, w, t), low
         assert got.order == 6
+
+
+BCH_CARRIERS = ("matrix", "laurent", "standard-nc", "integration", "summation")
+
+
+def _bch_inputs(name, n):
+    """Two grade-1 elements, and two series with every grade >= 1 nonzero."""
+    alg, x, y = _sources(name)
+    a = _mixed_source(alg, x, y, n) - LambdaSeries.term(alg, 0, x, n)
+    b = _mixed_source(alg, y, x, n) - LambdaSeries.term(alg, 0, y, n)
+    return alg, x, y, a, b
+
+
+@pytest.mark.parametrize("product", ("carrier", "double"))
+@pytest.mark.parametrize("name", BCH_CARRIERS)
+def test_bch_matches_the_unitized_reference(name, product):
+    for n in range(1, 7):
+        alg, x, y, a, b = _bch_inputs(name, n)
+        lam_x, lam_y = LambdaSeries.term(alg, 1, x, n), LambdaSeries.term(alg, 1, y, n)
+        want = ref.bch_of_series(alg, lam_x, lam_y, product)
+        assert bch_series(alg, x, y, n, product) == want, n
+        assert bch_of_series(alg, a, b, product) == ref.bch_of_series(alg, a, b, product), n
+
+
+@pytest.mark.parametrize("product", ("carrier", "double"))
+def test_bch_without_the_cross_term_is_caught(monkeypatch, product):
+    # zeroing the series product in identities drops exactly A B from
+    # log(1 + A + B + A B); from grade 2 on the reference disagrees
+    monkeypatch.setattr(identities, "series_mul", lambda a, *_: LambdaSeries.zero(a.carrier, a.order))
+    for name in BCH_CARRIERS:
+        alg, x, y, a, b = _bch_inputs(name, 2)
+        assert bch_of_series(alg, a, b, product) != ref.bch_of_series(alg, a, b, product), name
+
+
+@pytest.mark.parametrize("name", ("laurent", "matrix"))
+def test_bogoliubov_matches_the_reference(name):
+    alg, x, y = _sources(name)
+    for n in range(1, 5):
+        source = _mixed_source(alg, x, y, n) - LambdaSeries.term(alg, 0, x, n)
+        assert bogoliubov_decompose(alg, source) == ref.bogoliubov_decompose(alg, source), n
 
 
 def test_series_mul_grade_skip_matches_the_full_product():

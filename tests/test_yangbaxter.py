@@ -115,10 +115,6 @@ class TestOperatorYBE:
             res = check_operator_ybe(alg, plan=EX)
             assert res.status == "pass", res.counterexample
 
-    def test_explicit_carrier_and_operator(self):
-        res = check_operator_ybe(matrix_algebra(2), rb=rb_from_tensor(NIL), plan=EX)
-        assert res.status == "pass", res.counterexample
-
     def test_carrier_weight_must_vanish_without_explicit_operator(self):
         with pytest.raises(ConfigError):
             check_operator_ybe(matrix_algebra(2), plan=EX)
