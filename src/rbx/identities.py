@@ -32,13 +32,13 @@ Conventions fixed here once:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import RBAlgebra, SamplePlan, double_product, prelie_left, tilde_operator
+# rbxbench/tracer.py times `permutations` by its name here, so it stays bound
 from .combinat import Permutation, canonical_cycles, permutations, set_partitions
 from .errors import ConfigError
 from .report import CheckResult
@@ -346,20 +346,72 @@ class BSOperands:
         return self.operands[i - 1]
 
 
+def _members(s: int, n: int) -> list:
+    """The 0-based indices in the bitmask s."""
+    return [i for i in range(n) if s >> i & 1]
+
+
 def _nested_lhs(ops: BSOperands) -> object:
-    """sum over sigma of R(...R(R(F_s1)F_s2)...)F_sn, last factor outside."""
-    alg = ops.alg
-    total = alg.zero
-    for sigma in itertools.permutations(range(1, ops.n + 1)):
-        acc = ops.at(sigma[0])
-        for i in sigma[1:]:
-            acc = alg.rb(acc) * ops.at(i)
-        total = total + acc
-    return total
+    """sum over sigma of R(...R(R(F_s1)F_s2)...)F_sn, last factor outside.
+
+    R is linear, so the permutations group by their last factor: with
+    T({i}) = F_i and T(S) = sum over i in S of R(T(S - i)) F_i, the sum is
+    T({1..n}), in n 2^(n-1) steps instead of n!(n-1). Subsets are bitmasks
+    taken in increasing order, so S - i comes before S, and R(T(S)) is formed
+    once for each proper subset S.
+    """
+    alg, fs, full = ops.alg, ops.operands, (1 << ops.n) - 1
+    r_of = {}
+    for s in range(1, full + 1):
+        members = _members(s, ops.n)
+        if len(members) == 1:
+            t = fs[members[0]]
+        else:
+            t = functools.reduce(operator.add, (r_of[s ^ 1 << i] * fs[i] for i in members))
+        if s == full:
+            return t
+        r_of[s] = alg.rb(t)
+
+
+def _cycles_prelie_rhs(ops: BSOperands) -> object:
+    """sum over sigma of cycle_chain_product(ops, sigma, "prelie").
+
+    The products are bilinear, so the sum regroups over subsets. Canonical
+    cycles fold in increasing order of their maxima, so the cycle through
+    max(S) comes last: RHS(S) = sum over blocks B containing max(S) of
+    RHS(S - B) * C(B) in the double product, with C(S) alone for B = S. C(B)
+    sums the chains seeded at F_max(B) over every order of the rest of B:
+    chains[top][T] = sum over j in T of chains[top][T - j] |> F_j, linear in
+    its first argument. The recursion reaches only {1..n} and the subsets of
+    {1..n-1}.
+    """
+    alg, fs, n = ops.alg, ops.operands, ops.n
+    chains = []
+    for top in range(n):
+        chain = [fs[top]]
+        for t in range(1, 1 << top):
+            chain.append(functools.reduce(
+                operator.add, (prelie_left(alg, chain[t ^ 1 << j], fs[j]) for j in _members(t, n))))
+        chains.append(chain)
+    rhs = {}
+    for s in (*range(1, 1 << (n - 1)), (1 << n) - 1):
+        top = s.bit_length() - 1
+        rest = s ^ 1 << top
+        total = chains[top][rest]
+        r = rest
+        while r:  # every nonempty r = S - B, a submask of rest
+            total = total + double_product(alg, rhs[r], chains[top][rest ^ r])
+            r = (r - 1) & rest
+        rhs[s] = total
+    return rhs[(1 << n) - 1]
 
 
 def cycle_chain_product(ops: BSOperands, sigma: Permutation, variant: str):
     """One permutation's contribution to the closed-form right-hand side.
+
+    This is the one-permutation form: the cycles-prelie check sums the same
+    chains over subsets instead (`_cycles_prelie_rhs`), and the tests sum this
+    over S_n as its reference.
 
     Each canonical cycle (a_0 a_1 ... a_m) becomes a chain seeded at F_{a_0}
     with right factors applied innermost-first: the associative variant
@@ -403,9 +455,7 @@ def check_bohnenblust_spitzer(ops: BSOperands, form: str) -> CheckResult:
             rhs = rhs + (-theta) ** (ops.n - part.block_count) * term
     elif form == "cycles-prelie":
         anchor = "Eq. (clBSpPerm)"
-        rhs = alg.zero
-        for sigma in permutations(ops.n):
-            rhs = rhs + cycle_chain_product(ops, sigma, "prelie")
+        rhs = _cycles_prelie_rhs(ops)
     elif form == "weight-zero":
         anchor = "Eq. (clBSp)"
         if theta != 0:

@@ -312,8 +312,11 @@ class SeqElement:
         return s
 
     def _match(self, other: "SeqElement") -> None:
-        if len(self.entries) != len(other.entries):
-            raise ValueError("window lengths differ")
+        try:  # no class check on the hot path: another class has no entries
+            if len(self.entries) != len(other.entries):
+                raise ValueError("window lengths differ")
+        except AttributeError:
+            raise ValueError(f"cannot combine SeqElement with {type(other).__name__}") from None
 
     def __add__(self, other: "SeqElement") -> "SeqElement":
         self._match(other)

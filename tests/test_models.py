@@ -267,6 +267,10 @@ SHAPES = {
     "laurent against words": (LaurentElement({0: 1}, 4, 6), NCPoly.one(4), False),
     "words against laurent": (NCPoly.one(4), LaurentElement({0: 1}, 4, 6), False),
     "polynomial against words": (PolyFunction([1], 4), NCPoly.one(4), False),
+    "summation against matrix": (summation_algebra(3).one, RatMatrix.identity(2), False),
+    "matrix against summation": (RatMatrix.identity(2), summation_algebra(3).one, False),
+    "standard window against words": (noncommutative_standard_algebra(3, 4).one, NCPoly.one(4), False),
+    "words against standard window": (NCPoly.one(4), noncommutative_standard_algebra(3, 4).one, False),
 }
 
 
