@@ -10,6 +10,9 @@ double product, the complementary tilde operator, the induced pre-Lie
 products, the B operator, and the half-shuffle split. The ``check_*``
 functions verify the laws over a declared ``SamplePlan``; they return results,
 never raise on mathematical failure.
+
+Every check in the package states its laws as (law, lhs, rhs) triples;
+``first_failure`` compares them, stops at the first unequal pair and renders it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .errors import ConfigError
 from .report import CheckResult
 
 __all__ = [
@@ -30,6 +34,7 @@ __all__ = [
     "prelie_right",
     "b_operator",
     "half_shuffles",
+    "first_failure",
     "check_rb_law",
     "check_linearity",
     "check_double_assoc_and_hom",
@@ -146,7 +151,7 @@ def prelie_right(alg: RBAlgebra, a, b):
 
 def b_operator(alg: RBAlgebra, x):
     """B(x) = R(x) - tilde(x) = 2R(x) + theta*x."""
-    return alg.rb(x) - tilde_operator(alg, x)
+    return 2 * alg.rb(x) + alg.weight * x
 
 
 def half_shuffles(alg: RBAlgebra, x, y):
@@ -157,81 +162,83 @@ def half_shuffles(alg: RBAlgebra, x, y):
     return (x * alg.rb(y), alg.rb(x) * y)
 
 
-def _counterexample(alg: RBAlgebra, lhs, rhs, **inputs) -> str:
-    ins = "; ".join(f"{k}={v}" for k, v in inputs.items())
-    return f"model={alg.name}; {ins}; lhs={lhs}; rhs={rhs}"
+# characters of each rendered value a counterexample keeps
+CUT = 300
+
+
+def _cut(value) -> str:
+    text = str(value)
+    return text if len(text) <= CUT else f"{text[:CUT]}...[{len(text)} chars]"
+
+
+def first_failure(model: str, samples, laws, names) -> str | None:
+    """``model=..; law=..; <name>=<input>..; lhs=..; rhs=..; diff=<lhs - rhs>``
+    for the first (law, lhs, rhs) of ``laws(*sample)`` with lhs != rhs, each
+    value cut at CUT characters; None if all hold. No later law or sample is
+    evaluated. An empty sample raises ``ConfigError``: it would check nothing.
+    """
+    if not samples:
+        raise ConfigError(f"model {model}: the sample is empty, so no law would be checked")
+    for sample in samples:
+        for law, lhs, rhs in laws(*sample):
+            if not lhs == rhs:
+                shown = [("model", model), ("law", law), *zip(names, map(_cut, sample))]
+                shown += [("lhs", _cut(lhs)), ("rhs", _cut(rhs)), ("diff", _cut(lhs - rhs))]
+                return "; ".join(f"{key}={value}" for key, value in shown)
+    return None
 
 
 def check_rb_law(alg: RBAlgebra, plan: SamplePlan, name: str | None = None) -> CheckResult:
     """R(x)R(y) = R(R(x)y + xR(y) + theta xy) on all sampled pairs."""
-    name = name or f"rb-law/{alg.name}/{plan.mode}"
-    anchor = "Eq. (RBR)"
-    for x, y in plan.pairs(alg):
+
+    def laws(x, y):
         rx, ry = alg.rb(x), alg.rb(y)
-        lhs = rx * ry
-        rhs = alg.rb(_star(alg, x, y, rx, ry))
-        if lhs != rhs:
-            return CheckResult.bad(name, anchor, _counterexample(alg, lhs, rhs, x=x, y=y))
-    return CheckResult.ok(name, anchor)
+        yield "rb", rx * ry, alg.rb(_star(alg, x, y, rx, ry))
+
+    name = name or f"rb-law/{alg.name}/{plan.mode}"
+    return CheckResult.of(name, "Eq. (RBR)", first_failure(alg.name, plan.pairs(alg), laws, "xy"))
 
 
-def check_linearity(alg: RBAlgebra, plan: SamplePlan, name: str | None = None) -> CheckResult:
+def check_linearity(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
     """R(q*x + y) = q*R(x) + R(y) for sampled pairs and a few rational scalars."""
-    name = name or f"rb-linear/{alg.name}/{plan.mode}"
-    anchor = "Eq. (RBR)"
     scalars = (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 5))
-    for x, y in plan.pairs(alg):
+
+    def laws(x, y):
+        rx, ry = alg.rb(x), alg.rb(y)
         for q in scalars:
-            lhs = alg.rb(q * x + y)
-            rhs = q * alg.rb(x) + alg.rb(y)
-            if lhs != rhs:
-                return CheckResult.bad(
-                    name, anchor, _counterexample(alg, lhs, rhs, q=q, x=x, y=y)
-                )
-    return CheckResult.ok(name, anchor)
+            yield f"linear q={q}", alg.rb(q * x + y), q * rx + ry
+
+    bad = first_failure(alg.name, plan.pairs(alg), laws, "xy")
+    return CheckResult.of(f"rb-linear/{alg.name}/{plan.mode}", "Eq. (RBR)", bad)
 
 
-def check_double_assoc_and_hom(
-    alg: RBAlgebra, plan: SamplePlan, name: str | None = None
-) -> CheckResult:
+def check_double_assoc_and_hom(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
     """The double product is associative; R is a homomorphism from it, the
     tilde operator an anti-homomorphism; and R is Rota-Baxter for it too."""
-    name = name or f"double-product/{alg.name}/{plan.mode}"
-    anchor = "Eq. (double)"
     rb, theta = alg.rb, alg.weight
-    for x, y, z in plan.triples(alg):
+
+    def triple_laws(x, y, z):
         rx, ry, rz = rb(x), rb(y), rb(z)
         xy, yz = _star(alg, x, y, rx, ry), _star(alg, y, z, ry, rz)
-        lhs = _star(alg, xy, z, rb(xy), rz)
-        rhs = _star(alg, x, yz, rx, rb(yz))
-        if lhs != rhs:
-            return CheckResult.bad(
-                name, anchor, _counterexample(alg, lhs, rhs, law="assoc", x=x, y=y, z=z)
-            )
-    for x, y in plan.pairs(alg):
+        yield "assoc", _star(alg, xy, z, rb(xy), rz), _star(alg, x, yz, rx, rb(yz))
+
+    def pair_laws(x, y):
         rx, ry = rb(x), rb(y)
         xy = _star(alg, x, y, rx, ry)
-        lhs = rb(xy)
-        rhs = rx * ry
-        if lhs != rhs:
-            return CheckResult.bad(
-                name, anchor, _counterexample(alg, lhs, rhs, law="hom", x=x, y=y)
-            )
-        tl = _tilde(alg, xy, lhs)
-        tr = -(_tilde(alg, x, rx) * _tilde(alg, y, ry))
-        if tl != tr:
-            return CheckResult.bad(
-                name, anchor, _counterexample(alg, tl, tr, law="anti-hom", x=x, y=y)
-            )
+        rxy = rb(xy)
+        yield "hom", rxy, rx * ry
+        yield "anti-hom", _tilde(alg, xy, rxy), -(_tilde(alg, x, rx) * _tilde(alg, y, ry))
         # rb law with the carrier product replaced by the double product
         rrx, rry = rb(rx), rb(ry)
         lhs = _star(alg, rx, ry, rrx, rry)
-        rhs = rb(_star(alg, rx, y, rrx, ry) + _star(alg, x, ry, rx, rry) + theta * xy)
-        if lhs != rhs:
-            return CheckResult.bad(
-                name, anchor, _counterexample(alg, lhs, rhs, law="rb-for-double", x=x, y=y)
-            )
-    return CheckResult.ok(name, anchor)
+        yield "rb-for-double", lhs, rb(
+            _star(alg, rx, y, rrx, ry) + _star(alg, x, ry, rx, rry) + theta * xy
+        )
+
+    bad = first_failure(alg.name, plan.triples(alg), triple_laws, "xyz") or first_failure(
+        alg.name, plan.pairs(alg), pair_laws, "xy"
+    )
+    return CheckResult.of(f"double-product/{alg.name}/{plan.mode}", "Eq. (double)", bad)
 
 
 def check_weight_rescale(
@@ -239,58 +246,43 @@ def check_weight_rescale(
 ) -> CheckResult:
     """beta*R satisfies the rb law with weight beta*theta."""
     name = name or f"weight-rescale/{alg.name}/beta={beta}/{plan.mode}"
-    scaled = alg.rescaled(beta)
-    inner = check_rb_law(scaled, plan, name=name)
-    return inner
+    return check_rb_law(alg.rescaled(beta), plan, name=name)
 
 
-def check_prelie_axiom(alg: RBAlgebra, plan: SamplePlan, name: str | None = None) -> CheckResult:
+def check_prelie_axiom(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
     """Left and right pre-Lie laws, plus the bracket identifications.
 
     Checks (x|>y)|>z - x|>(y|>z) = (y|>x)|>z - y|>(x|>z), the mirrored right
     law, Jacobi for the induced bracket, and that the brackets of |> and of
     the double product coincide.
     """
-    name = name or f"prelie/{alg.name}/{plan.mode}"
-    anchor = "Eq. (pLidentity)"
     rb = alg.rb
     left = lambda a, b: prelie_left(alg, a, b)
     right = lambda a, b: prelie_right(alg, a, b)
     bracket = lambda a, b: left(a, b) - left(b, a)
-    for x, y, z in plan.triples(alg):
+
+    def triple_laws(x, y, z):
         # the six products of two distinct inputs, shared by the laws below
         rx, ry, rz = rb(x), rb(y), rb(z)
         xy, yx = _prelie(alg, x, rx, y), _prelie(alg, y, ry, x)
         yz, zy = _prelie(alg, y, ry, z), _prelie(alg, z, rz, y)
         xz, zx = _prelie(alg, x, rx, z), _prelie(alg, z, rz, x)
-        lhs = left(xy, z) - _prelie(alg, x, rx, yz)
-        rhs = left(yx, z) - _prelie(alg, y, ry, xz)
-        if lhs != rhs:
-            return CheckResult.bad(
-                name, anchor, _counterexample(alg, lhs, rhs, law="left", x=x, y=y, z=z)
-            )
+        yield "left", left(xy, z) - _prelie(alg, x, rx, yz), left(yx, z) - _prelie(alg, y, ry, xz)
         # right(a, b) = -left(b, a), so right(x, y) = -yx and so on
-        lhs = right(-yx, z) - right(x, -zy)
-        rhs = right(-zx, y) - right(x, -yz)
-        if lhs != rhs:
-            return CheckResult.bad(
-                name, anchor, _counterexample(alg, lhs, rhs, law="right", x=x, y=y, z=z)
-            )
+        yield "right", right(-yx, z) - right(x, -zy), right(-zx, y) - right(x, -yz)
         jac = (
             bracket(xy - yx, z)
             + bracket(yz - zy, x)
             + bracket(zx - xz, y)
         )
-        if jac != alg.zero:
-            return CheckResult.bad(
-                name, anchor, _counterexample(alg, jac, alg.zero, law="jacobi", x=x, y=y, z=z)
-            )
-    for x, y in plan.pairs(alg):
+        yield "jacobi", jac, alg.zero
+
+    def pair_laws(x, y):
         rx, ry = rb(x), rb(y)
         lhs = _prelie(alg, x, rx, y) - _prelie(alg, y, ry, x)
-        rhs = _star(alg, x, y, rx, ry) - _star(alg, y, x, ry, rx)
-        if lhs != rhs:
-            return CheckResult.bad(
-                name, anchor, _counterexample(alg, lhs, rhs, law="bracket-match", x=x, y=y)
-            )
-    return CheckResult.ok(name, anchor)
+        yield "bracket-match", lhs, _star(alg, x, y, rx, ry) - _star(alg, y, x, ry, rx)
+
+    bad = first_failure(alg.name, plan.triples(alg), triple_laws, "xyz") or first_failure(
+        alg.name, plan.pairs(alg), pair_laws, "xy"
+    )
+    return CheckResult.of(f"prelie/{alg.name}/{plan.mode}", "Eq. (pLidentity)", bad)

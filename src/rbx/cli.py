@@ -34,6 +34,7 @@ from .algebra import (
     check_prelie_axiom,
     check_rb_law,
     check_weight_rescale,
+    first_failure,
     prelie_left,
 )
 from .combinat import (
@@ -452,11 +453,13 @@ def _suite_quasi_shuffle(cfg: SuiteConfig, registry: dict, picked: list) -> list
     def nested_sums():
         (_, alg), = picked
         gen = standard_generator(len(alg.one.entries), DEGREE_CAP, "comm")
-        for u, v in [((1,), (1,)), ((1,), (2,)), ((2,), (3,)), ((1, 2), (1,)), ((1, 1), (2, 1))]:
-            u, v = Word(u), Word(v)
+        pairs = [((1,), (1,)), ((1,), (2,)), ((2,), (3,)), ((1, 2), (1,)), ((1, 1), (2, 1))]
+
+        def laws(u, v):
             lhs = nested_sum_encoding(alg, gen, u) * nested_sum_encoding(alg, gen, v)
-            if lhs != nested_sum_encoding_sum(alg, gen, qs(u, v)):
-                yield f"u={u}; v={v}"
+            yield "encoding-multiplicative", lhs, nested_sum_encoding_sum(alg, gen, qs(u, v))
+
+        return first_failure(alg.name, [(Word(u), Word(v)) for u, v in pairs], laws, "uv")
 
     return [
         CheckResult.of(
@@ -470,7 +473,7 @@ def _suite_quasi_shuffle(cfg: SuiteConfig, registry: dict, picked: list) -> list
         CheckResult.of("quasi-shuffle/product-laws", anchor, next(product_laws(), None)),
         CheckResult.of("quasi-shuffle/half-products", anchor, next(half_products(), None)),
         CheckResult.of("quasi-shuffle/merge-free", "Eq. (shuffle)", next(merge_free(), None)),
-        CheckResult.of("quasi-shuffle/nested-sums", "Eq. (shuffle)", next(nested_sums(), None)),
+        CheckResult.of("quasi-shuffle/nested-sums", "Eq. (shuffle)", nested_sums()),
     ]
 
 
@@ -553,8 +556,8 @@ def _suite_magnus(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     checks = []
     for grade, key in ((2, 2), (3, 3), (4, "4-terms"), (4, "4-reduced")):
         name = f"magnus/lambda{grade}" + ("/reduced" if key == "4-reduced" else "")
-        got, want = omega.coefficient(grade), expected[key]
-        bad = None if got == want else f"got={got}; want={want}"
+        laws = lambda x: [(f"omega grade {key}", omega.coefficient(grade), expected[key])]
+        bad = first_failure(alg.name, [(x,)], laws, "x")
         checks.append(CheckResult.of(name, "Eq. (pLMag)", bad))
     return checks
 
@@ -601,10 +604,13 @@ def _suite_bogoliubov(cfg: SuiteConfig, registry: dict, picked: list) -> list:
         checks.append(_tag(check_bogoliubov(alg, LambdaSeries(alg, coeffs)), f"x{i}"))
     # the displayed one-step example x1 = 1/eps + 1: f1 = -theta/eps, hinv1 = theta
     theta = alg.weight
-    f, hinv = bogoliubov_decompose(alg, LambdaSeries(alg, (alg.zero, _laurent(alg, {-1: 1, 0: 1}))))
-    f1, hinv1 = f.coefficient(1), hinv.coefficient(1)
-    ok = f1 == _laurent(alg, {-1: -theta}) and hinv1 == theta * alg.one
-    bad = None if ok else f"f1={f1}; hinv1={hinv1}"
+
+    def one_step(x1):
+        f, hinv = bogoliubov_decompose(alg, LambdaSeries(alg, (alg.zero, x1)))
+        yield "f1=-theta/eps", f.coefficient(1), _laurent(alg, {-1: -theta})
+        yield "hinv1=theta", hinv.coefficient(1), theta * alg.one
+
+    bad = first_failure(alg.name, [(_laurent(alg, {-1: 1, 0: 1}),)], one_step, ["x1"])
     checks.append(CheckResult.of("bogoliubov/one-step", "Eq. (Atkins)", bad))
     return checks
 
@@ -654,15 +660,12 @@ def _suite_standard_symmetric(cfg: SuiteConfig, registry: dict, picked: list) ->
     (_, alg), = picked
     rng = random.Random(cfg.seed)
 
-    def difference_inverts_sum():
-        for _ in range(5):
-            s = alg.random_element(rng)
-            diff = finite_difference(alg.rb(s))
-            if diff != SeqElement(s.entries[: window - 1]):
-                yield f"s={s}; diff(R(s))={diff}"
+    def difference_inverts_sum(s):
+        yield "diff(R(s))=s", finite_difference(alg.rb(s)), SeqElement(s.entries[: window - 1])
 
-    name = "standard-symmetric/difference-inverts-sum"
-    checks.append(CheckResult.of(name, "Eq. (shuffle)", next(difference_inverts_sum(), None)))
+    samples = [(alg.random_element(rng),) for _ in range(5)]
+    bad = first_failure(alg.name, samples, difference_inverts_sum, "s")
+    checks.append(CheckResult.of("standard-symmetric/difference-inverts-sum", "Eq. (shuffle)", bad))
     return checks
 
 

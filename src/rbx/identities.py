@@ -37,7 +37,14 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RBAlgebra, SamplePlan, double_product, prelie_left, tilde_operator
+from .algebra import (
+    RBAlgebra,
+    SamplePlan,
+    double_product,
+    first_failure,
+    prelie_left,
+    tilde_operator,
+)
 # rbxbench/tracer.py times `permutations` by its name here, so it stays bound
 from .combinat import Permutation, canonical_cycles, permutations, set_partitions
 from .errors import ConfigError
@@ -84,11 +91,10 @@ def _pow(x, n: int):
     return out
 
 
-def _first_mismatch(a: LambdaSeries, b: LambdaSeries):
+def _grades(law: str, a: LambdaSeries, b: LambdaSeries):
+    """The law grade by grade, over the grades both series carry."""
     for k in range(min(a.order, b.order) + 1):
-        if not a.coefficient(k) == b.coefficient(k):
-            return k, a.coefficient(k), b.coefficient(k)
-    return None
+        yield f"{law} grade {k}", a.coefficient(k), b.coefficient(k)
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +149,12 @@ def atkinson_solutions(alg: RBAlgebra, x, order: int) -> FixedPointSolution:
 def atkinson_lemma(alg: RBAlgebra, plan: SamplePlan) -> str | None:
     """The first counterexample on plan's pairs to the splitting lemma
     R(a)Rtilde(b) = R(a Rtilde(b)) + Rtilde(R(a) b), or None when it holds."""
-    for a, b in plan.pairs(alg):
+
+    def laws(a, b):
         tb = tilde_operator(alg, b)
-        left = alg.rb(a) * tb
-        right = alg.rb(a * tb) + tilde_operator(alg, alg.rb(a) * b)
-        if not left == right:
-            return f"lemma a={a}; b={b}; lhs={left}; rhs={right}"
-    return None
+        yield "lemma", alg.rb(a) * tb, alg.rb(a * tb) + tilde_operator(alg, alg.rb(a) * b)
+
+    return first_failure(alg.name, plan.pairs(alg), laws, "ab")
 
 
 _UNCHECKED = object()
@@ -161,27 +166,20 @@ def check_atkinson(
     """Factorization fh = 1 - lambda theta fxh, its inverse form, and the
     splitting lemma on plan's pairs. The lemma does not involve x, so a caller
     checking several sources passes its `atkinson_lemma(alg, plan)` outcome."""
-    name = f"atkinson/{alg.name}/N={order}"
-    anchor = "Eq. (Atkins)"
     theta = alg.weight
-    sol = atkinson_solutions(alg, x, order)
-    lam_x = LambdaSeries.term(alg, 1, x, order)
     one_s = LambdaSeries.one(alg, order)
 
-    lhs = sol.f * sol.h
-    rhs = one_s - theta * (sol.f * lam_x * sol.h)
-    miss = _first_mismatch(lhs, rhs)
-    if miss:
-        k, a, b = miss
-        return CheckResult.bad(name, anchor, f"x={x}; grade {k}: fh={a}; 1-th*fxh={b}")
+    def laws(x):
+        sol = atkinson_solutions(alg, x, order)
+        lam_x = LambdaSeries.term(alg, 1, x, order)
+        yield from _grades("fh=1-th*fxh", sol.f * sol.h, one_s - theta * (sol.f * lam_x * sol.h))
+        lhs = series_inverse(sol.f) * series_inverse(sol.h)
+        yield from _grades("f^-1h^-1=1+th*x", lhs, one_s + theta * lam_x)
 
-    lhs = series_inverse(sol.f) * series_inverse(sol.h)
-    rhs = one_s + theta * lam_x
-    miss = _first_mismatch(lhs, rhs)
-    if miss:
-        k, a, b = miss
-        return CheckResult.bad(name, anchor, f"x={x}; grade {k}: f^-1 h^-1={a}; 1+th*x={b}")
-    return CheckResult.of(name, anchor, atkinson_lemma(alg, plan) if lemma is _UNCHECKED else lemma)
+    bad = first_failure(alg.name, [(x,)], laws, "x") or (
+        atkinson_lemma(alg, plan) if lemma is _UNCHECKED else lemma
+    )
+    return CheckResult.of(f"atkinson/{alg.name}/N={order}", "Eq. (Atkins)", bad)
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +203,19 @@ def check_bogoliubov(alg: RBAlgebra, x: LambdaSeries) -> CheckResult:
     """Counterterm purely in the image of R, renormalized part killed by R,
     and the factorization f (1 + theta x) h = 1, which is Atkinson's
     f^-1 h^-1 = 1 + theta x (f (1 - x) h = 1 at theta = -1)."""
-    name = f"bogoliubov/{alg.name}/N={x.order}"
-    anchor = "Eq. (Atkins)"
-    f, hinv = bogoliubov_decompose(alg, x)
-    for n in range(1, x.order + 1):
-        fn = f.coefficient(n)
-        hn = hinv.coefficient(n)
-        if not alg.rb(hn) == alg.zero:
-            return CheckResult.bad(name, anchor, f"grade {n}: renormalized part {hn} not R-free")
-        if not tilde_operator(alg, fn) == alg.zero:
-            return CheckResult.bad(name, anchor, f"grade {n}: counterterm {fn} not purely in im R")
-    h = series_inverse(hinv)
-    one_s = LambdaSeries.one(alg, x.order)
-    prod = f * (one_s + alg.weight * x) * h
-    miss = _first_mismatch(prod, one_s)
-    if miss:
-        k, a, _ = miss
-        return CheckResult.bad(name, anchor, f"grade {k}: f(1+th*x)h={a}; expected unit")
-    return CheckResult.ok(name, anchor)
+
+    def laws(x):
+        f, hinv = bogoliubov_decompose(alg, x)
+        for n in range(1, x.order + 1):
+            fn, hn = f.coefficient(n), hinv.coefficient(n)
+            yield f"R(h^-1)=0 grade {n}", alg.rb(hn), alg.zero
+            yield f"Rtilde(f)=0 grade {n}", tilde_operator(alg, fn), alg.zero
+        h = series_inverse(hinv)
+        one_s = LambdaSeries.one(alg, x.order)
+        yield from _grades("f(1+th*x)h=1", f * (one_s + alg.weight * x) * h, one_s)
+
+    bad = first_failure(alg.name, [(x,)], laws, "x")
+    return CheckResult.of(f"bogoliubov/{alg.name}/N={x.order}", "Eq. (Atkins)", bad)
 
 
 # ---------------------------------------------------------------------------
@@ -289,38 +282,31 @@ def _log_closed_form(alg: RBAlgebra, x, order: int) -> LambdaSeries:
 def spitzer_check_commutative(alg: RBAlgebra, x, order: int) -> CheckResult:
     """log of the fixed point equals R(theta^{-1} log(1 + theta lambda x)),
     and the Magnus series collapses to the same closed form."""
-    name = f"spitzer/{alg.name}/N={order}"
-    anchor = "Eq. (SpitzId)"
     if not alg.commutative:
         raise ConfigError(f"spitzer closed form needs a commutative carrier, not {alg.name}")
-    closed = _log_closed_form(alg, x, order)
-    lhs = series_log(solve_fixed_point(alg, x, SIDE_LEFT, order))
-    rhs = LambdaSeries(alg, tuple(alg.rb(c) for c in closed.coeffs))
-    miss = _first_mismatch(lhs, rhs)
-    if miss:
-        k, a, b = miss
-        return CheckResult.bad(name, anchor, f"x={x}; grade {k}: log f={a}; R(closed form)={b}")
 
-    omega = prelie_magnus(alg, x, order).omega
-    miss = _first_mismatch(omega, closed)
-    if miss:
-        k, a, b = miss
-        return CheckResult.bad(name, anchor, f"x={x}; grade {k}: omega={a}; closed form={b}")
-    return CheckResult.ok(name, anchor)
+    def laws(x):
+        closed = _log_closed_form(alg, x, order)
+        lhs = series_log(solve_fixed_point(alg, x, SIDE_LEFT, order))
+        rhs = LambdaSeries(alg, tuple(alg.rb(c) for c in closed.coeffs))
+        yield from _grades("log f=R(closed form)", lhs, rhs)
+        yield from _grades("omega=closed form", prelie_magnus(alg, x, order).omega, closed)
+
+    bad = first_failure(alg.name, [(x,)], laws, "x")
+    return CheckResult.of(f"spitzer/{alg.name}/N={order}", "Eq. (SpitzId)", bad)
 
 
 def check_nc_spitzer(alg: RBAlgebra, x, order: int) -> CheckResult:
     """R applied to the Magnus series is the log of the left fixed point."""
-    name = f"nc-spitzer/{alg.name}/N={order}"
-    anchor = "Eq. (pLMag)"
-    omega = prelie_magnus(alg, x, order).omega
-    lhs = LambdaSeries(alg, tuple(alg.rb(c) for c in omega.coeffs))
-    rhs = series_log(solve_fixed_point(alg, x, SIDE_LEFT, order))
-    miss = _first_mismatch(lhs, rhs)
-    if miss:
-        k, a, b = miss
-        return CheckResult.bad(name, anchor, f"x={x}; grade {k}: R(omega)={a}; log f={b}")
-    return CheckResult.ok(name, anchor)
+
+    def laws(x):
+        omega = prelie_magnus(alg, x, order).omega
+        lhs = LambdaSeries(alg, tuple(alg.rb(c) for c in omega.coeffs))
+        rhs = series_log(solve_fixed_point(alg, x, SIDE_LEFT, order))
+        yield from _grades("R(omega)=log f", lhs, rhs)
+
+    bad = first_failure(alg.name, [(x,)], laws, "x")
+    return CheckResult.of(f"nc-spitzer/{alg.name}/N={order}", "Eq. (pLMag)", bad)
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +452,9 @@ def check_bohnenblust_spitzer(ops: BSOperands, form: str) -> CheckResult:
     else:
         raise ValueError(f"unknown form {form!r}")
 
-    lhs = _nested_lhs(ops)
-    if not lhs == rhs:
-        ops_render = "; ".join(f"F{i + 1}={f}" for i, f in enumerate(ops.operands))
-        return CheckResult.bad(name, anchor, f"{ops_render}; lhs={lhs}; rhs={rhs}")
-    return CheckResult.ok(name, anchor)
+    names = [f"F{i}" for i in range(1, ops.n + 1)]
+    laws = lambda *_: [(form, _nested_lhs(ops), rhs)]
+    return CheckResult.of(name, anchor, first_failure(alg.name, [ops.operands], laws, names))
 
 
 # ---------------------------------------------------------------------------
@@ -532,16 +516,15 @@ def check_flows_product_law(
 
     omega_y, when given, is Omega'(y) at any order >= order.
     """
-    name = f"flows-product/{alg.name}/N={order}"
-    anchor = "Eq. (pLMag)"
-    z = flows_product(alg, x, y, order, omega_y)
-    lhs = solve_fixed_point_series(alg, z, SIDE_LEFT, order)
-    rhs = solve_fixed_point(alg, x, SIDE_LEFT, order) * solve_fixed_point(alg, y, SIDE_LEFT, order)
-    miss = _first_mismatch(lhs, rhs)
-    if miss:
-        k, a, b = miss
-        return CheckResult.bad(name, anchor, f"x={x}; y={y}; grade {k}: solve(z)={a}; fh={b}")
-    return CheckResult.ok(name, anchor)
+
+    def laws(x, y):
+        z = flows_product(alg, x, y, order, omega_y)
+        lhs = solve_fixed_point_series(alg, z, SIDE_LEFT, order)
+        fx = solve_fixed_point(alg, x, SIDE_LEFT, order)
+        yield from _grades("solve(x#y)=fh", lhs, fx * solve_fixed_point(alg, y, SIDE_LEFT, order))
+
+    bad = first_failure(alg.name, [(x, y)], laws, "xy")
+    return CheckResult.of(f"flows-product/{alg.name}/N={order}", "Eq. (pLMag)", bad)
 
 
 def check_flows_bch(
@@ -557,19 +540,16 @@ def check_flows_bch(
     omega_x and omega_y, when given, are Omega'(x) and Omega'(y) at any
     order >= order; their coefficients do not depend on the order.
     """
-    name = f"flows-bch/{alg.name}/N={order}"
-    anchor = "Eq. (pLMag)"
     if omega_x is None:
         omega_x = prelie_magnus(alg, x, order).omega
     if omega_y is None:
         omega_y = prelie_magnus(alg, y, order).omega
-    z = flows_product(alg, x, y, order, omega_y)
-    lhs = prelie_magnus_of_series(alg, z, order)
-    rhs = bch_of_series(alg, omega_x.truncate(order), omega_y.truncate(order), "double")
-    miss = _first_mismatch(lhs, rhs)
-    if miss:
-        k, a, b = miss
-        return CheckResult.bad(
-            name, anchor, f"x={x}; y={y}; grade {k}: omega(x#y)={a}; bch={b}"
-        )
-    return CheckResult.ok(name, anchor)
+
+    def laws(x, y):
+        z = flows_product(alg, x, y, order, omega_y)
+        lhs = prelie_magnus_of_series(alg, z, order)
+        rhs = bch_of_series(alg, omega_x.truncate(order), omega_y.truncate(order), "double")
+        yield from _grades("omega(x#y)=bch", lhs, rhs)
+
+    bad = first_failure(alg.name, [(x, y)], laws, "xy")
+    return CheckResult.of(f"flows-bch/{alg.name}/N={order}", "Eq. (pLMag)", bad)

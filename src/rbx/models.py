@@ -23,7 +23,7 @@ import operator
 import random
 from fractions import Fraction
 
-from .algebra import RBAlgebra
+from .algebra import RBAlgebra, first_failure
 from .errors import ConfigError
 from .polynomials import CPoly, NCPoly, Word
 from .report import CheckResult
@@ -603,8 +603,6 @@ def elementary_symmetric_check(
     x_1^n + ... + x_{k-1}^n. The noncommutative variant replaces e_n by the
     sum over strictly increasing index words.
     """
-    name = f"standard-symmetric/n={n}/k={k}"
-    anchor = "Eq. (shuffle)"
     if n < 1:
         raise ConfigError("order must be >= 1")
     if k >= window:
@@ -614,27 +612,20 @@ def elementary_symmetric_check(
 
     alg = commutative_standard_algebra(window, cap)
     gen = standard_generator(window, cap, "comm")
-    got = _iterated_rb(alg, gen, n).entries[k]
-    want = CPoly(
-        {Word(c): Fraction(1) for c in itertools.combinations(range(1, k), n)}, cap
-    )
-    if got != want:
-        return CheckResult.bad(name, anchor, f"e_{n} slot {k}: got={got}; want={want}")
 
-    got = alg.rb(gen**n).entries[k]
-    want = CPoly({Word((i,) * n): Fraction(1) for i in range(1, k)}, cap)
-    if got != want:
-        return CheckResult.bad(name, anchor, f"power-sum slot {k}: got={got}; want={want}")
+    def laws(n, k):
+        increasing = {Word(c): Fraction(1) for c in itertools.combinations(range(1, k), n)}
+        yield f"e_{n}", _iterated_rb(alg, gen, n).entries[k], CPoly(increasing, cap)
 
-    nalg = noncommutative_standard_algebra(window, cap)
-    ngen = standard_generator(window, cap, "nc")
-    got = _iterated_rb(nalg, ngen, n).entries[k]
-    want = NCPoly(
-        {Word(c): Fraction(1) for c in itertools.combinations(range(1, k), n)}, cap
-    )
-    if got != want:
-        return CheckResult.bad(name, anchor, f"ordered words slot {k}: got={got}; want={want}")
-    return CheckResult.ok(name, anchor)
+        got = alg.rb(gen**n).entries[k]
+        yield "power-sum", got, CPoly({Word((i,) * n): Fraction(1) for i in range(1, k)}, cap)
+
+        nalg = noncommutative_standard_algebra(window, cap)
+        ngen = standard_generator(window, cap, "nc")
+        yield "ordered-words", _iterated_rb(nalg, ngen, n).entries[k], NCPoly(increasing, cap)
+
+    bad = first_failure(alg.name, [(n, k)], laws, "nk")
+    return CheckResult.of(f"standard-symmetric/n={n}/k={k}", "Eq. (shuffle)", bad)
 
 
 def nested_sum_encoding(alg: RBAlgebra, generator: SeqElement, word: Word) -> SeqElement:
@@ -667,27 +658,28 @@ def check_vector_field_prelie(max_degree: int = 4) -> CheckResult:
     On monomials the product is t^n |> t^m = m t^(n+m-1); checked together
     with the left pre-Lie law over all monomial triples up to max_degree.
     """
-    name = f"vector-field-prelie/deg<={max_degree}"
-    anchor = "Eq. (pL)"
     cap = 3 * max_degree + 2
     mono = [PolyFunction.monomial(i, cap) for i in range(max_degree + 1)]
 
     def vf(f: PolyFunction, g: PolyFunction) -> PolyFunction:
         return f * polynomial_derivative(g)
 
-    for n in range(max_degree + 1):
-        for m in range(max_degree + 1):
-            got = vf(mono[n], mono[m])
-            want = (
-                PolyFunction.zero(cap)
-                if m == 0
-                else m * PolyFunction.monomial(n + m - 1, cap)
-            )
-            if got != want:
-                return CheckResult.bad(name, anchor, f"t^{n}|>t^{m}: got={got}; want={want}")
-    for f, g, h in itertools.product(mono, repeat=3):
+    def monomial_law(n, m):
+        got = vf(mono[n], mono[m])
+        want = (
+            PolyFunction.zero(cap)
+            if m == 0
+            else m * PolyFunction.monomial(n + m - 1, cap)
+        )
+        yield "t^n|>t^m=m t^(n+m-1)", got, want
+
+    def left_prelie(f, g, h):
         lhs = vf(vf(f, g), h) - vf(f, vf(g, h))
-        rhs = vf(vf(g, f), h) - vf(g, vf(f, h))
-        if lhs != rhs:
-            return CheckResult.bad(name, anchor, f"f={f}; g={g}; h={h}; lhs={lhs}; rhs={rhs}")
-    return CheckResult.ok(name, anchor)
+        yield "left-prelie", lhs, vf(vf(g, f), h) - vf(g, vf(f, h))
+
+    model = f"vector-fields[deg<={max_degree}]"
+    degrees = list(itertools.product(range(max_degree + 1), repeat=2))
+    bad = first_failure(model, degrees, monomial_law, "nm") or first_failure(
+        model, list(itertools.product(mono, repeat=3)), left_prelie, "fgh"
+    )
+    return CheckResult.of(f"vector-field-prelie/deg<={max_degree}", "Eq. (pL)", bad)

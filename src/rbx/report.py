@@ -30,14 +30,6 @@ class CheckResult:
             raise ValueError("a failing check must carry a counterexample")
 
     @classmethod
-    def ok(cls, name: str, anchor: str) -> "CheckResult":
-        return cls(name, "pass", anchor)
-
-    @classmethod
-    def bad(cls, name: str, anchor: str, counterexample: str) -> "CheckResult":
-        return cls(name, "fail", anchor, counterexample)
-
-    @classmethod
     def of(cls, name: str, anchor: str, counterexample: str | None) -> "CheckResult":
         """A pass when there is no counterexample, else a fail carrying it."""
         return cls(name, "pass" if counterexample is None else "fail", anchor, counterexample)

@@ -1,16 +1,31 @@
 """Derived structure of a weighted Rota-Baxter operator."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from rbx import (
+    BSOperands,
+    ConfigError,
+    LambdaSeries,
     RatMatrix,
     SamplePlan,
+    TensorR,
+    aybe_check,
     b_operator,
+    check_atkinson,
+    check_bogoliubov,
+    check_bohnenblust_spitzer,
     check_double_assoc_and_hom,
+    check_dendriform,
+    check_flows_bch,
+    check_flows_product_law,
     check_linearity,
+    check_modified_ybe,
+    check_nc_spitzer,
+    check_operator_ybe,
     check_prelie_axiom,
     check_rb_law,
     check_weight_rescale,
@@ -21,9 +36,11 @@ from rbx import (
     matrix_algebra,
     prelie_left,
     prelie_right,
+    spitzer_check_commutative,
     summation_algebra,
     tilde_operator,
 )
+from rbx.algebra import CUT, first_failure
 
 EX = SamplePlan("exhaustive")
 M3 = matrix_algebra(3)
@@ -143,3 +160,97 @@ def test_broken_operator_yields_a_counterexample():
     assert res.status == "fail"
     assert res.counterexample is not None
     assert "lhs=" in res.counterexample and "rhs=" in res.counterexample
+
+
+class TestFirstFailure:
+    @staticmethod
+    def _laws(seen):
+        def laws(a, b):
+            seen.append((a, b))
+            yield "sum", a + b, b + a
+            yield "equal", a, b
+            seen.append("after")
+            yield "same", a, a
+
+        return laws
+
+    def test_none_when_every_law_holds(self):
+        laws = lambda a, b: [("sum", a + b, b + a)]
+        assert first_failure("ints", [(1, 2), (3, 4)], laws, "ab") is None
+
+    def test_stops_at_the_first_failing_law_and_sample(self):
+        seen = []
+        bad = first_failure("ints", [(1, 1), (2, 5), (3, 7)], self._laws(seen), "ab")
+        assert seen == [(1, 1), "after", (2, 5)]
+        assert bad == "model=ints; law=equal; a=2; b=5; lhs=2; rhs=5; diff=-3"
+
+    def test_renders_the_input_names_in_order(self):
+        names = ["F1", "F2"]
+        bad = first_failure("ints", [(4, 9)], lambda *fs: [("law", sum(fs), 0)], names)
+        assert bad == "model=ints; law=law; F1=4; F2=9; lhs=13; rhs=0; diff=13"
+
+    def test_cuts_every_value_and_marks_its_length(self):
+        big = 10 ** (3 * CUT)
+        bad = first_failure("ints", [(big,)], lambda x: [("law", x, 0)], "x")
+        mark = f"...[{3 * CUT + 1} chars]"
+        assert bad.count(mark) == 3  # x, lhs and diff; rhs=0 is short
+        assert len(bad) < 3 * (CUT + len(mark)) + 100
+
+    def test_an_empty_sample_is_a_configuration_error(self):
+        with pytest.raises(ConfigError):
+            first_failure("ints", [], lambda a: [("law", a, a)], "a")
+
+    def test_an_empty_basis_does_not_pass(self):
+        m2 = matrix_algebra(2)
+        empty = replace(m2, basis=(), rb=lambda m: 2 * m2.rb(m))
+        for check in (check_rb_law, check_double_assoc_and_hom):
+            with pytest.raises(ConfigError):
+                check(empty, EX)
+
+
+def _doubled(alg):
+    return replace(alg, rb=lambda x: 2 * alg.rb(x))
+
+
+_M2_ID0 = replace(matrix_algebra(2), name="matrix2-id", weight=Fraction(0), rb=lambda m: m)
+_RND = SamplePlan("random", 10, 3)
+_X = RatMatrix.unit(3, 1, 2) + RatMatrix.unit(3, 2, 1)
+_LAURENT = _doubled(laurent_algebra(16, 16))
+_L_X = LambdaSeries(_LAURENT, (_LAURENT.zero, _LAURENT.one, _LAURENT.basis[1]))
+_S5 = _doubled(summation_algebra(5))
+_RNG = random.Random(1)
+_F = tuple(M3.random_element(_RNG) for _ in range(3))
+
+# one row per check family: (label, model name, thunk returning the CheckResult)
+_BROKEN = [
+    ("rb-law", "matrix3", lambda: check_rb_law(_doubled(M3), EX)),
+    ("linearity", "matrix3", lambda: check_linearity(replace(M3, rb=lambda m: m + M3.one), EX)),
+    ("double-product", "matrix3", lambda: check_double_assoc_and_hom(_doubled(M3), _RND)),
+    ("weight-rescale", "matrix3*[beta=2]",
+     lambda: check_weight_rescale(_doubled(M3), Fraction(2), _RND)),
+    ("prelie", "matrix3", lambda: check_prelie_axiom(_doubled(M3), _RND)),
+    ("dendriform", "matrix2-id", lambda: check_dendriform(_M2_ID0, EX)),
+    ("operator-ybe", "matrix2-id", lambda: check_operator_ybe(_M2_ID0, EX)),
+    ("modified-ybe", "matrix3", lambda: check_modified_ybe(_doubled(M3), _RND)),
+    ("aybe", "tensor-cube[2]", lambda: aybe_check(
+        TensorR(((RatMatrix.unit(2, 1, 1), RatMatrix.unit(2, 1, 1)),)))),
+    ("atkinson", "matrix3", lambda: check_atkinson(_doubled(M3), _X, 3)),
+    ("bogoliubov", "laurent[16,16]", lambda: check_bogoliubov(_LAURENT, _L_X)),
+    ("spitzer", "summation[W=5]", lambda: spitzer_check_commutative(_S5, _S5.one, 3)),
+    ("nc-spitzer", "matrix3", lambda: check_nc_spitzer(_doubled(M3), _X, 3)),
+    ("bohnenblust-spitzer", "matrix3",
+     lambda: check_bohnenblust_spitzer(BSOperands(_doubled(M3), _F), "cycles-prelie")),
+    ("flows-product", "matrix3", lambda: check_flows_product_law(_doubled(M3), _X, E(2, 3), 3)),
+    ("flows-bch", "matrix3", lambda: check_flows_bch(_doubled(M3), _X, E(2, 3), 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "model, run", [row[1:] for row in _BROKEN], ids=[row[0] for row in _BROKEN]
+)
+def test_every_check_family_renders_its_counterexample(model, run):
+    res = run()
+    assert res.status == "fail"
+    assert res.counterexample.startswith(f"model={model}; law=")
+    for key in ("; lhs=", "; rhs=", "; diff="):
+        assert key in res.counterexample

@@ -17,6 +17,7 @@ from rbx import (
     SuiteConfig,
     main,
     matrix_algebra,
+    noncommutative_standard_algebra,
     parse_config,
     run_suite,
 )
@@ -267,6 +268,30 @@ class TestMain:
         assert rc == 2
         assert captured.err.startswith("error:")
         assert "PASS" not in captured.out
+
+    def test_exit_two_on_an_empty_exhaustive_sample(self, capsys):
+        # a carrier without a basis would PASS the exhaustive laws unchecked
+        m2 = matrix_algebra(2)
+        empty = replace(m2, basis=(), rb=lambda m: 2 * m2.rb(m))
+        argv = ["verify", "--suite", "rb-laws", "--model", "matrix"] + FAST
+        rc = main(argv, models={"matrix2": empty})
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: model matrix2: the sample is empty")
+        assert "PASS" not in captured.out
+
+    def test_counterexamples_are_cut_and_show_both_sides(self, capsys):
+        nc = noncommutative_standard_algebra(10, 8)
+        doubled = replace(nc, rb=lambda x: 2 * nc.rb(x))
+        argv = ["verify", "--suite", "magnus", "--format", "json"]
+        rc = main(argv, models={"standard-nc": doubled})
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        failing = [c["counterexample"] for c in checks if c["status"] == "fail"]
+        assert rc == 1 and failing
+        for text in failing:
+            assert text.startswith("model=standard-nc[W=10]; law=omega grade ")
+            assert "; lhs=" in text and "; rhs=" in text and " chars]" in text
+            assert len(text) < 4000
 
     def test_smallest_accepted_window_runs(self, capsys):
         window = 3

@@ -101,7 +101,7 @@ class TestAtkinson:
         assert (res.status, res.counterexample) == ("fail", "lemma a=0; b=0")
         # a splitting that is not a Rota-Baxter pair breaks the lemma
         doubled = replace(M3, rb=lambda m: 2 * M3.rb(m))
-        assert atkinson_lemma(doubled, plan).startswith("lemma a=")
+        assert atkinson_lemma(doubled, plan).startswith("model=matrix3; law=lemma; a=")
 
     def test_solutions_bundle(self):
         sol = atkinson_solutions(M3, X_SYM, 3)
