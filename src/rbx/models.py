@@ -101,7 +101,7 @@ class RatMatrix(DenseCarrier):
     def rows(self) -> tuple:
         n, num, den = self.dim, self.num, self.den
         return tuple(
-            tuple(Fraction(c, den) for c in num[i : i + n]) for i in range(0, n * n, n)
+            tuple(Fraction(c, den) for c in num[i : i + n]) for i in range(0, n * n, max(n, 1))
         )
 
     @classmethod
@@ -122,9 +122,8 @@ class RatMatrix(DenseCarrier):
         n = self.dim
         a, b = self.num, other.num
         cols = [b[j::n] for j in range(n)]
-        out = [
-            sum(map(operator.mul, a[i : i + n], col)) for i in range(0, n * n, n) for col in cols
-        ]
+        rows = range(0, n * n, max(n, 1))
+        out = [sum(map(operator.mul, a[i : i + n], col)) for i in rows for col in cols]
         return RatMatrix._of(n, out, self.den * other.den)
 
     def __str__(self) -> str:
@@ -294,50 +293,48 @@ def laurent_algebra(
 # sequence algebras (the standard algebra and the scalar summation algebra)
 
 
-class SeqElement:
-    """Finite window of ring values with pointwise operations."""
+class SeqElement(DenseCarrier):
+    """Finite window of ring values with pointwise operations.
 
-    __slots__ = ("entries",)
+    A window of rationals stores integer numerators ``num`` over one
+    denominator ``den``, in lowest terms; a window of polynomials stores the
+    ``CPoly`` or ``NCPoly`` entries themselves as ``num``, over ``den`` = 1.
+    ``entries`` gives the Fractions, or the polynomials.
+    """
+
+    __slots__ = ()
 
     def __init__(self, entries):
-        self.entries = tuple(entries)
-        if not self.entries:
+        entries = tuple(entries)
+        if not entries:
             raise ValueError("empty window")
+        if isinstance(entries[0], NCPoly):
+            self.num, self.den = entries, 1
+        else:
+            self.num, self.den = lowest_terms(*over_common_denominator(entries))
 
-    @classmethod
-    def _of(cls, entries: tuple) -> "SeqElement":
-        """Internal constructor from a nonempty tuple."""
-        s = object.__new__(cls)
-        s.entries = entries
+    def _like(self, nums: list, den: int) -> "SeqElement":
+        s = object.__new__(SeqElement)
+        s.num, s.den = lowest_terms(nums, den)  # polynomial windows: den 1, no gcd
         return s
 
-    def _match(self, other: "SeqElement") -> None:
-        try:  # no class check on the hot path: another class has no entries
-            if len(self.entries) != len(other.entries):
-                raise ValueError("window lengths differ")
-        except AttributeError:
-            raise ValueError(f"cannot combine SeqElement with {type(other).__name__}") from None
+    def _match_shape(self, other: "SeqElement") -> None:
+        if len(self.num) != len(other.num) or type(self.num[0]) is not type(other.num[0]):
+            raise ValueError("window lengths or entry kinds differ")
 
-    def __add__(self, other: "SeqElement") -> "SeqElement":
-        self._match(other)
-        return SeqElement._of(tuple(map(operator.add, self.entries, other.entries)))
-
-    def __sub__(self, other: "SeqElement") -> "SeqElement":
-        self._match(other)
-        return SeqElement._of(tuple(map(operator.sub, self.entries, other.entries)))
-
-    def __neg__(self) -> "SeqElement":
-        return SeqElement._of(tuple(map(operator.neg, self.entries)))
+    @property
+    def entries(self) -> tuple:
+        num, den = self.num, self.den
+        return tuple(Fraction(c, den) for c in num) if isinstance(num[0], int) else num
 
     def __rmul__(self, scalar) -> "SeqElement":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        q = Fraction(scalar)
-        return SeqElement._of(tuple(q * a for a in self.entries))
+        if isinstance(self.num[0], int):
+            return super().__rmul__(scalar)
+        return self._like([scalar * c for c in self.num], 1)
 
     def __mul__(self, other: "SeqElement") -> "SeqElement":
         self._match(other)
-        return SeqElement._of(tuple(map(operator.mul, self.entries, other.entries)))
+        return self._like(list(map(operator.mul, self.num, other.num)), self.den * other.den)
 
     def __pow__(self, n: int) -> "SeqElement":
         if n < 0:
@@ -348,11 +345,6 @@ class SeqElement:
         for _ in range(n - 1):
             out = out * self
         return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SeqElement):
-            return NotImplemented
-        return self.entries == other.entries
 
     __hash__ = None
 
@@ -368,8 +360,8 @@ def standard_sum_operator(s: SeqElement) -> SeqElement:
     Entry 0 is zero. Entry k reads only entries < k, which is what makes a
     finite window exact. Weight 1.
     """
-    zero = Fraction(0) * s.entries[0]
-    return SeqElement._of(tuple(itertools.accumulate(s.entries[:-1], operator.add, initial=zero)))
+    num = s.num
+    return s._like(list(itertools.accumulate(num[:-1], operator.add, initial=0 * num[0])), s.den)
 
 
 def summation_operator(s: SeqElement) -> SeqElement:
@@ -379,8 +371,10 @@ def summation_operator(s: SeqElement) -> SeqElement:
 
 def finite_difference(s: SeqElement) -> SeqElement:
     """Forward difference f(n+1) - f(n); the window shrinks by one."""
-    e = s.entries
-    return SeqElement(e[k + 1] - e[k] for k in range(len(e) - 1))
+    num = s.num
+    if len(num) < 2:
+        raise ValueError("empty window")
+    return s._like(list(map(operator.sub, num[1:], num[:-1])), s.den)
 
 
 def _standard_algebra(window: int, cap: int, poly, kind: str) -> RBAlgebra:

@@ -137,6 +137,10 @@ class NCPoly(SparseCarrier):
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         self._match(other)
+        if not self.num:
+            return self
+        if not other.num:
+            return other
         cap = self.cap
         commutative = self._commutative
         out: dict = {}

@@ -75,8 +75,6 @@ def aybe_check(r: TensorR, mode: str = "printed") -> CheckResult:
     """Associative Yang-Baxter equation in the tensor cube."""
     name = f"aybe/{mode}/dim={r.dim}"
     anchor = "Eq. (ag)"
-    if not r.pairs:
-        return CheckResult.of(name, anchor, None)
 
     def laws(r):
         r12, r13, r23 = r.embeddings()

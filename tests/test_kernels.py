@@ -7,6 +7,7 @@ rendering on both sides, and every fast result must be stored canonically.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import reference_carriers as ref
 from rbx import CPoly, LaurentElement, NCPoly, PolyFunction, RatMatrix, SeqElement, Word
 from rbx.models import (
+    finite_difference,
     laurent_pole_projection,
     riemann_integral,
     standard_sum_operator,
@@ -179,7 +181,9 @@ def _seq_kind(inner):
 
         @staticmethod
         def canonical(s):
-            return inner is None or all(map(inner.canonical, s.entries))
+            if inner is None:
+                return _lowest(s.num, s.den)
+            return s.den == 1 and all(map(inner.canonical, s.entries))
 
     return Kind
 
@@ -228,3 +232,31 @@ def test_fast_carrier_agrees_with_the_fraction_reference(name, data):
     # equality is canonical: the same value reached by another route is equal
     assert (fa + fb) - fb == fa
     assert fa - fa == 0 * fb
+
+
+@pytest.mark.parametrize("name", ["ncpoly", "ncpoly-capped", "cpoly", "cpoly-capped"])
+def test_products_with_a_zero_operand(name):
+    kind, cap = KINDS[name]
+    terms = {(1,): Fraction(1, 2), (2, 1): Fraction(-3), (): Fraction(2, 3)}
+    for zero_left in (True, False):
+        fa, fz = kind.fast(cap, terms), kind.fast(cap, {})
+        ra, rz = kind.ref(cap, terms), kind.ref(cap, {})
+        fast, reference = (fz * fa, rz * ra) if zero_left else (fa * fz, ra * rz)
+        _agree(kind, fast, reference)
+        assert type(fast) is type(fa) and fast.cap == cap and fast.is_zero()
+
+
+def test_summation_window_with_mixed_denominators():
+    # chosen so that both results need reducing: R to denominator 4, the
+    # difference to 3
+    entries = [Fraction(1, 2), Fraction(1, 2), Fraction(5, 4), Fraction(7), Fraction(1, 6)]
+    s = SeqElement(entries)
+    assert (s.den, s.entries) == (12, tuple(entries))
+    summed = standard_sum_operator(s)
+    assert summed.entries == ref.standard_sum_operator(ref.SeqElement(entries)).entries
+    assert summed.den == 4 and _lowest(summed.num, summed.den)
+    assert finite_difference(summed).entries == tuple(entries[:-1])
+    entries = [Fraction(1, 6), Fraction(1, 2), Fraction(5, 6), Fraction(7, 6), Fraction(3, 2)]
+    diff = finite_difference(SeqElement(entries))
+    assert diff.entries == tuple(b - a for a, b in zip(entries, entries[1:]))
+    assert diff.den == 3 and _lowest(diff.num, diff.den)

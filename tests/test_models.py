@@ -62,6 +62,12 @@ class TestRatMatrix:
         assert Fraction(1, 2) * a == RatMatrix([[Fraction(1, 2), 1], [Fraction(3, 2), 2]])
         assert a - a == RatMatrix.zeros(2)
 
+    def test_zero_dimensional_matrix(self):
+        z = RatMatrix.zeros(0)
+        assert str(z) == "[]"
+        assert z.rows == ()
+        assert z * z == z == RatMatrix.identity(0)
+
 
 class TestMatrixModel:
     def test_projection_keeps_upper_part(self):
@@ -135,6 +141,12 @@ class TestSeqElement:
             SeqElement([])
         with pytest.raises(ValueError):
             SeqElement([Fraction(1)]) + SeqElement([Fraction(1), Fraction(2)])
+
+    def test_windows_are_unhashable(self):
+        assert SeqElement.__hash__ is None
+        for s in (SeqElement([Fraction(1)]), standard_generator(3, 4)):
+            with pytest.raises(TypeError):
+                hash(s)
 
     def test_pow(self):
         s = SeqElement([Fraction(2), Fraction(-1)])
@@ -257,6 +269,12 @@ def test_vector_field_prelie():
 # coefficients agree), or the error it raises.
 SHAPES = {
     "matrix dims": (RatMatrix.identity(2), RatMatrix.identity(3), ValueError),
+    "summation windows": (summation_algebra(3).one, summation_algebra(4).one, ValueError),
+    "standard windows": (
+        noncommutative_standard_algebra(3, 4).one,
+        noncommutative_standard_algebra(4, 4).one,
+        ValueError,
+    ),
     "polynomial caps": (PolyFunction([1], 24), PolyFunction([1], 30), ValueError),
     "laurent bounds": (LaurentElement({0: 1}, 4, 6), LaurentElement({0: 1}, 4, 8), ValueError),
     "word caps": (NCPoly.one(4), NCPoly.one(5), ValueError),
@@ -267,6 +285,16 @@ SHAPES = {
     "laurent against words": (LaurentElement({0: 1}, 4, 6), NCPoly.one(4), False),
     "words against laurent": (NCPoly.one(4), LaurentElement({0: 1}, 4, 6), False),
     "polynomial against words": (PolyFunction([1], 4), NCPoly.one(4), False),
+    "summation against standard window": (
+        SeqElement([Fraction(1, 2)] * 3),
+        noncommutative_standard_algebra(3, 4).one,
+        ValueError,
+    ),
+    "nc window against comm window": (
+        noncommutative_standard_algebra(3, 4).one,
+        commutative_standard_algebra(3, 4).one,
+        ValueError,
+    ),
     "summation against matrix": (summation_algebra(3).one, RatMatrix.identity(2), False),
     "matrix against summation": (RatMatrix.identity(2), summation_algebra(3).one, False),
     "standard window against words": (noncommutative_standard_algebra(3, 4).one, NCPoly.one(4), False),

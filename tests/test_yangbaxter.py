@@ -66,6 +66,12 @@ class TestAYBE:
     def test_empty_tensor_is_a_solution(self):
         assert aybe_check(TensorR(())).status == "pass"
 
+    def test_empty_tensor_goes_through_the_evaluator(self):
+        # no early pass: the dim-0 residual is formed and compared, so the
+        # mode is checked too
+        with pytest.raises(ValueError):
+            aybe_check(TensorR(()), "folded")
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             aybe_check(NIL, "folded")
