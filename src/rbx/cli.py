@@ -250,9 +250,7 @@ _MODELS = {
     "laurent": _Model(
         lambda cfg: laurent_algebra(max(12, 4 * cfg.order), max(12, 4 * cfg.order)),
         lambda alg, rng: _laurent(alg, {-1: 1, 0: 1}),
-        lambda alg, rng: _laurent(
-            alg, {e: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for e in range(-2, 3)}
-        ),
+        lambda alg, rng: alg.zero.draw(rng, range(-2, 3)),
     ),
     "matrix": _Model(lambda cfg: matrix_algebra(cfg.dim), _matrix_source),
     "matrix2": _Model(lambda cfg: matrix_algebra(2), _matrix_source, pick="matrix"),

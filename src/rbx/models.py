@@ -30,6 +30,7 @@ from .report import CheckResult
 from .scalars import (
     DenseCarrier,
     SparseCarrier,
+    draw_rationals,
     lowest_terms,
     lowest_terms_sparse,
     over_common_denominator,
@@ -148,12 +149,7 @@ def matrix_algebra(dim: int = 3) -> RBAlgebra:
     )
 
     def rand(rng: random.Random) -> RatMatrix:
-        return RatMatrix(
-            [
-                [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
-                for _ in range(dim)
-            ]
-        )
+        return RatMatrix._of(dim, *draw_rationals(rng, dim * dim, 3, 3))
 
     return RBAlgebra(
         name=f"matrix{dim}",
@@ -187,27 +183,45 @@ class LaurentElement(SparseCarrier):
     def __init__(self, coeffs, pole_bound: int, trunc: int):
         if pole_bound < 0 or trunc < 0:
             raise ValueError("bounds must be nonnegative")
-        coeffs = dict(coeffs)
-        nums, den = over_common_denominator(coeffs.values())
-        clean = {}
-        for e, c in zip(coeffs, nums):
-            if c == 0:
-                continue
-            if e < -pole_bound:
-                raise ConfigError(
-                    f"exponent {e} below pole bound -{pole_bound}; enlarge the bound"
-                )
-            if e > trunc:
-                continue
-            clean[e] = c
-        self.num, self.den = lowest_terms_sparse(clean, den)
         self.pole_bound = pole_bound
         self.trunc = trunc
+        coeffs = dict(coeffs)
+        nums, den = over_common_denominator(coeffs.values())
+        self.num, self.den = self._bounded(dict(zip(coeffs, nums)), den)
 
-    def _like(self, num: dict, den: int) -> "LaurentElement":
-        """An element with this one's bounds, from in-range numerators."""
+    def _bounded(self, num: dict, den: int) -> tuple:
+        """Numerators at any exponents, cut to this element's range, in lowest terms.
+
+        Exponents above ``trunc`` are dropped; a nonzero one below
+        ``-pole_bound`` raises ``ConfigError``.
+        """
+        clean = {}
+        for e, c in num.items():
+            if c == 0:
+                continue
+            if e < -self.pole_bound:
+                raise ConfigError(
+                    f"exponent {e} below pole bound -{self.pole_bound}; enlarge the bound"
+                )
+            if e > self.trunc:
+                continue
+            clean[e] = c
+        return lowest_terms_sparse(clean, den)
+
+    def draw(self, rng: random.Random, exponents) -> "LaurentElement":
+        """A random element with this one's bounds and range rules.
+
+        Each exponent gets randint(-3, 3) / randint(1, 2), drawn as integers
+        (``scalars.draw_rationals``).
+        """
+        nums, den = draw_rationals(rng, len(exponents), 3, 2)
+        return self._new(*self._bounded(dict(zip(exponents, nums)), den))
+
+    def _new(self, num: dict, den: int) -> "LaurentElement":
+        """An element with this one's bounds, from canonical in-range numerators."""
         x = object.__new__(LaurentElement)
-        x.num, x.den = lowest_terms_sparse(num, den)
+        x.num = num
+        x.den = den
         x.pole_bound = self.pole_bound
         x.trunc = self.trunc
         return x
@@ -269,18 +283,15 @@ def laurent_algebra(
 ) -> RBAlgebra:
     basis = tuple(LaurentElement({e: 1}, pole_bound, trunc) for e in basis_exponents)
     exps = list(basis_exponents)
+    zero = LaurentElement({}, pole_bound, trunc)
 
     def rand(rng: random.Random) -> LaurentElement:
-        return LaurentElement(
-            {e: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for e in exps},
-            pole_bound,
-            trunc,
-        )
+        return zero.draw(rng, exps)
 
     return RBAlgebra(
         name=f"laurent[{pole_bound},{trunc}]",
         weight=Fraction(-1),
-        zero=LaurentElement({}, pole_bound, trunc),
+        zero=zero,
         one=LaurentElement({0: 1}, pole_bound, trunc),
         rb=laurent_pole_projection,
         commutative=True,
@@ -300,6 +311,10 @@ class SeqElement(DenseCarrier):
     denominator ``den``, in lowest terms; a window of polynomials stores the
     ``CPoly`` or ``NCPoly`` entries themselves as ``num``, over ``den`` = 1.
     ``entries`` gives the Fractions, or the polynomials.
+
+    The constructor accepts only rationals, or polynomials of one class and
+    one cap, so a window operation checks the length and slot 0 once and
+    then runs the polynomials' trusted kernels slot by slot.
     """
 
     __slots__ = ()
@@ -308,10 +323,28 @@ class SeqElement(DenseCarrier):
         entries = tuple(entries)
         if not entries:
             raise ValueError("empty window")
-        if isinstance(entries[0], NCPoly):
+        first = entries[0]
+        if isinstance(first, NCPoly):
+            kind, cap = type(first), first.cap
+            if any(type(e) is not kind or e.cap != cap for e in entries):
+                raise ValueError("window entries must be polynomials of one class and cap")
             self.num, self.den = entries, 1
-        else:
+        elif all(isinstance(e, (int, Fraction)) for e in entries):
             self.num, self.den = lowest_terms(*over_common_denominator(entries))
+        else:
+            raise ValueError("window entries must be rationals or polynomials")
+
+    @staticmethod
+    def _window(entries: list) -> "SeqElement":
+        """A polynomial window from a list of entries of one class and cap.
+
+        A list, not an iterator: tuple() resizes what it builds from an
+        iterator, which fills CPython's tuple free lists and raises peak memory.
+        """
+        s = object.__new__(SeqElement)
+        s.num = tuple(entries)
+        s.den = 1
+        return s
 
     def _like(self, nums: list, den: int) -> "SeqElement":
         s = object.__new__(SeqElement)
@@ -319,22 +352,36 @@ class SeqElement(DenseCarrier):
         return s
 
     def _match_shape(self, other: "SeqElement") -> None:
-        if len(self.num) != len(other.num) or type(self.num[0]) is not type(other.num[0]):
-            raise ValueError("window lengths or entry kinds differ")
+        a, b = self.num[0], other.num[0]
+        if (
+            len(self.num) != len(other.num)
+            or type(a) is not type(b)
+            or (type(a) is not int and a.cap != b.cap)
+        ):
+            raise ValueError("window lengths, entry kinds or degree caps differ")
 
     @property
     def entries(self) -> tuple:
         num, den = self.num, self.den
         return tuple(Fraction(c, den) for c in num) if isinstance(num[0], int) else num
 
-    def __rmul__(self, scalar) -> "SeqElement":
-        if isinstance(self.num[0], int):
-            return super().__rmul__(scalar)
-        return self._like([scalar * c for c in self.num], 1)
+    def _plus(self, other: "SeqElement", sign: int = 1) -> "SeqElement":
+        if type(self.num[0]) is int:
+            return DenseCarrier._plus(self, other, sign)
+        sums = map(NCPoly._plus, self.num, other.num, itertools.repeat(sign))
+        return SeqElement._window(list(sums))
+
+    def _scaled(self, n: int, d: int) -> "SeqElement":
+        if type(self.num[0]) is int:
+            return DenseCarrier._scaled(self, n, d)
+        return SeqElement._window([p._scaled(n, d) for p in self.num])
 
     def __mul__(self, other: "SeqElement") -> "SeqElement":
         self._match(other)
-        return self._like(list(map(operator.mul, self.num, other.num)), self.den * other.den)
+        a, b = self.num, other.num
+        if type(a[0]) is int:
+            return self._like(list(map(operator.mul, a, b)), self.den * other.den)
+        return SeqElement._window(list(map(NCPoly._times, a, b)))
 
     def __pow__(self, n: int) -> "SeqElement":
         if n < 0:
@@ -361,7 +408,10 @@ def standard_sum_operator(s: SeqElement) -> SeqElement:
     finite window exact. Weight 1.
     """
     num = s.num
-    return s._like(list(itertools.accumulate(num[:-1], operator.add, initial=0 * num[0])), s.den)
+    if type(num[0]) is int:
+        return s._like(list(itertools.accumulate(num[:-1], operator.add, initial=0)), s.den)
+    sums = itertools.accumulate(num[:-1], NCPoly._plus, initial=0 * num[0])
+    return SeqElement._window(list(sums))
 
 
 def summation_operator(s: SeqElement) -> SeqElement:
@@ -440,9 +490,7 @@ def summation_algebra(window: int = 10) -> RBAlgebra:
     )
 
     def rand(rng: random.Random) -> SeqElement:
-        return SeqElement(
-            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(window)]
-        )
+        return zero._like(*draw_rationals(rng, window, 4, 3))
 
     return RBAlgebra(
         name=f"summation[W={window}]",
@@ -557,16 +605,15 @@ def polynomial_derivative(p: PolyFunction) -> PolyFunction:
 
 def integration_algebra(cap: int = 24) -> RBAlgebra:
     basis = tuple(PolyFunction.monomial(k, cap) for k in range(7))
+    zero = PolyFunction.zero(cap)
 
     def rand(rng: random.Random) -> PolyFunction:
-        return PolyFunction(
-            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)], cap
-        )
+        return zero._like(*draw_rationals(rng, 4, 3, 3))
 
     return RBAlgebra(
         name=f"integration[cap={cap}]",
         weight=Fraction(0),
-        zero=PolyFunction.zero(cap),
+        zero=zero,
         one=PolyFunction.one(cap),
         rb=riemann_integral,
         commutative=True,

@@ -103,10 +103,11 @@ class NCPoly(SparseCarrier):
         self.num, self.den = lowest_terms_sparse(num, den)
         self.cap = cap
 
-    def _like(self, num: dict, den: int) -> "NCPoly":
-        """A polynomial of this kind and cap, from numerators within the cap."""
+    def _new(self, num: dict, den: int) -> "NCPoly":
+        """A polynomial of this kind and cap, from canonical numerators."""
         p = object.__new__(type(self))
-        p.num, p.den = lowest_terms_sparse(num, den)
+        p.num = num
+        p.den = den
         p.cap = self.cap
         return p
 
@@ -137,17 +138,30 @@ class NCPoly(SparseCarrier):
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         self._match(other)
-        if not self.num:
+        return self._times(other)
+
+    def _times(self, other: "NCPoly") -> "NCPoly":
+        """self * other, for an operand ``_match`` has accepted.
+
+        A zero operand comes back as it is and a constant one scales the
+        other, so only two nonconstant polynomials reach the product loop.
+        """
+        a, b = self.num, other.num
+        if not a:
             return self
-        if not other.num:
+        if not b:
             return other
+        if len(a) == 1 and () in a:
+            return other._scaled(a[()], self.den)
+        if len(b) == 1 and () in b:
+            return self._scaled(b[()], other.den)
         cap = self.cap
         commutative = self._commutative
         out: dict = {}
         get = out.get
-        for u, cu in self.num.items():
+        for u, cu in a.items():
             room = None if cap is None else cap - len(u)
-            for v, cv in other.num.items():
+            for v, cv in b.items():
                 if room is not None and len(v) > room:
                     continue
                 w = u + v

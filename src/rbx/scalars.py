@@ -89,6 +89,24 @@ def over_common_denominator(values) -> tuple:
     return [q.numerator * (den // q.denominator) for q in fracs], den
 
 
+def draw_rationals(rng, count: int, top: int, den_top: int) -> tuple:
+    """``count`` draws of randint(-top, top) / randint(1, den_top), as
+    ``over_common_denominator`` gives them, with no ``Fraction`` built.
+
+    The generator is called in the same order as by
+    ``Fraction(rng.randint(-top, top), rng.randint(1, den_top))``, so a seed
+    yields the same element either way.
+    """
+    pairs = []
+    for _ in range(count):
+        p = rng.randint(-top, top)
+        q = rng.randint(1, den_top)
+        g = math.gcd(p, q)
+        pairs.append((p // g, q // g))
+    den = math.lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
+
+
 def lowest_terms(nums: list, den: int) -> tuple:
     """Divide numerators and positive denominator by their common gcd.
 
@@ -104,7 +122,11 @@ def lowest_terms(nums: list, den: int) -> tuple:
 
 def lowest_terms_sparse(num: dict, den: int) -> tuple:
     """Like ``lowest_terms`` for a map of numerators; zero entries are dropped."""
-    num = {k: c for k, c in num.items() if c}
+    return _reduced({k: c for k, c in num.items() if c}, den)
+
+
+def _reduced(num: dict, den: int) -> tuple:
+    """``lowest_terms_sparse`` for a map that holds no zeros."""
     if not num:
         return num, 1
     if den != 1:
@@ -122,7 +144,9 @@ def _over_lcm(da: int, db: int) -> tuple:
 
 
 class _Carrier:
-    """The operand check and equality both carrier bases share."""
+    """What both carrier bases share: the operand check, equality, and ``+``,
+    ``-`` and scalar ``*``, which check their operand once and then run the
+    trusted kernels ``_plus`` and ``_scaled``."""
 
     __slots__ = ("num", "den")
 
@@ -131,6 +155,19 @@ class _Carrier:
         if type(other) is not type(self):
             raise ValueError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         self._match_shape(other)
+
+    def __add__(self, other):
+        self._match(other)
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        self._match(other)
+        return self._plus(other, -1)
+
+    def __rmul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        return self._scaled(scalar.numerator, scalar.denominator)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -151,39 +188,29 @@ class DenseCarrier(_Carrier):
 
     __slots__ = ()
 
-    def _aligned(self, other) -> tuple:
-        """Both numerator tuples over the lcm of the denominators, one length."""
-        self._match(other)
+    def _plus(self, other, sign: int = 1):
+        """self + sign * other, for an operand ``_match`` has accepted."""
         a, b, da, db = self.num, other.num, self.den, other.den
-        pad = len(a) - len(b)
-        if pad > 0:
-            b = b + (0,) * pad
-        elif pad < 0:
-            a = a + (0,) * -pad
-        if da != db:
-            fa, fb, da = _over_lcm(da, db)
-            a = [c * fa for c in a]
-            b = [c * fb for c in b]
-        return a, b, da
+        if da != db or len(a) != len(b):
+            pad = len(a) - len(b)
+            if pad > 0:
+                b = b + (0,) * pad
+            elif pad < 0:
+                a = a + (0,) * -pad
+            if da != db:
+                fa, fb, da = _over_lcm(da, db)
+                a = [c * fa for c in a]
+                b = [c * fb for c in b]
+        return self._like(list(map(operator.add if sign > 0 else operator.sub, a, b)), da)
 
-    def __add__(self, other):
-        a, b, den = self._aligned(other)
-        return self._like(list(map(operator.add, a, b)), den)
-
-    def __sub__(self, other):
-        a, b, den = self._aligned(other)
-        return self._like(list(map(operator.sub, a, b)), den)
+    def _scaled(self, n: int, d: int):
+        """(n / d) * self."""
+        if n == 1 and d == 1:
+            return self
+        return self._like([n * c for c in self.num], self.den * d)
 
     def __neg__(self):
         return self._like([-c for c in self.num], self.den)
-
-    def __rmul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        if scalar == 1:
-            return self
-        p = scalar.numerator
-        return self._like([p * c for c in self.num], self.den * scalar.denominator)
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
@@ -192,16 +219,29 @@ class DenseCarrier(_Carrier):
 class SparseCarrier(_Carrier):
     """Arithmetic shared by carriers stored as a numerator map over ``den``.
 
-    The map holds no zeros. Subclasses supply the same two hooks as
-    ``DenseCarrier``: ``_like(num, den)``, which reduces and drops zeros, and
-    ``_match_shape(other)``.
+    The map holds no zeros. Subclasses supply ``_match_shape(other)`` as for
+    ``DenseCarrier`` and ``_new(num, den)``, which builds an element of their
+    shape from a canonical map; ``_like`` first reduces and drops zeros.
     """
 
     __slots__ = ()
 
-    def _plus(self, other, sign: int):
-        """self + sign * other."""
-        a, b, da, db = self.num, other.num, self.den, other.den
+    def _like(self, num: dict, den: int):
+        return self._new(*lowest_terms_sparse(num, den))
+
+    def _plus(self, other, sign: int = 1):
+        """self + sign * other, for an operand ``_match`` has accepted.
+
+        A zero operand costs nothing; otherwise one pass over ``other`` adds
+        its numerators and drops the keys that cancel.
+        """
+        b = other.num
+        if not b:
+            return self
+        a = self.num
+        if not a:
+            return other if sign == 1 else other._scaled(sign, 1)
+        da, db = self.den, other.den
         if da == db:
             out = dict(a)
         else:
@@ -210,32 +250,23 @@ class SparseCarrier(_Carrier):
             sign *= fb
         get = out.get
         for k, c in b.items():
-            out[k] = get(k, 0) + sign * c
-        return self._like(out, da)
+            c = get(k, 0) + sign * c
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return self._new(*_reduced(out, da))
 
-    def __add__(self, other):
-        self._match(other)
-        if not other.num:
+    def _scaled(self, n: int, d: int):
+        """(n / d) * self: no zero sweep, one gcd when the denominator is not 1."""
+        a = self.num
+        if not a or (n == 1 and d == 1):
             return self
-        if not self.num:
-            return other
-        return self._plus(other, 1)
-
-    def __sub__(self, other):
-        self._match(other)
-        if not other.num:
-            return self
-        return self._plus(other, -1)
+        if not n:
+            return self._new({}, 1)
+        return self._new(*_reduced({k: n * c for k, c in a.items()}, self.den * d))
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.num.items()}, self.den)
-
-    def __rmul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        if scalar == 1:
-            return self
-        p = scalar.numerator
-        return self._like({k: p * c for k, c in self.num.items()}, self.den * scalar.denominator)
+        return self._new({k: -c for k, c in self.num.items()}, self.den)
 
     __hash__ = None

@@ -7,18 +7,23 @@ rendering on both sides, and every fast result must be stored canonically.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_carriers as ref
-from rbx import CPoly, LaurentElement, NCPoly, PolyFunction, RatMatrix, SeqElement, Word
+from rbx import CPoly, LaurentElement, NCPoly, PolyFunction, RatMatrix, SeqElement, Word, cli
 from rbx.models import (
     finite_difference,
+    integration_algebra,
+    laurent_algebra,
     laurent_pole_projection,
+    matrix_algebra,
     riemann_integral,
     standard_sum_operator,
+    summation_algebra,
     triangular_projection,
 )
 
@@ -260,3 +265,127 @@ def test_summation_window_with_mixed_denominators():
     diff = finite_difference(SeqElement(entries))
     assert diff.entries == tuple(b - a for a, b in zip(entries, entries[1:]))
     assert diff.den == 3 and _lowest(diff.num, diff.den)
+
+
+# ---------------------------------------------------------------------------
+# the short-cuts of the polynomial kernels, one by one and inside windows
+
+POLY_KINDS = ["ncpoly", "ncpoly-capped", "cpoly", "cpoly-capped"]
+HALVES = {(1,): Fraction(1, 2), (2, 1): Fraction(3, 2)}  # numerators 1, 3 over 2
+
+
+def _agree_poly(kind, cap, fast, reference):
+    _agree(kind, fast, reference)
+    assert fast.cap == cap
+
+
+@pytest.mark.parametrize("name", POLY_KINDS)
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(-2), Fraction(2, 3), Fraction(4, 3), 1, -1])
+def test_constant_times_polynomial_is_reduced(name, c):
+    kind, cap = KINDS[name]
+    p, rp = kind.fast(cap, HALVES), kind.ref(cap, HALVES)
+    k, rk = kind.fast(cap, {(): c}), kind.ref(cap, {(): c})
+    for fast, reference in ((k * p, rk * rp), (p * k, rp * rk), (c * p, c * rp)):
+        assert type(fast) is type(p)
+        _agree_poly(kind, cap, fast, reference)
+    # 2 * (1/2 x1 + 3/2 x2x1) = x1 + 3 x2x1: the denominator 2 must cancel
+    assert (kind.fast(cap, {(): Fraction(2)}) * p).den == 1
+
+
+@pytest.mark.parametrize("name", POLY_KINDS)
+def test_sums_with_a_zero_operand(name):
+    kind, cap = KINDS[name]
+    p, z = kind.fast(cap, HALVES), kind.fast(cap, {})
+    rp, rz = kind.ref(cap, HALVES), kind.ref(cap, {})
+    pairs = ((z + p, rz + rp), (p + z, rp + rz), (z - p, rz - rp), (p - z, rp - rz),
+             (z - z, rz - rz), (0 * p, 0 * rp))
+    for fast, reference in pairs:
+        assert type(fast) is type(p)
+        _agree_poly(kind, cap, fast, reference)
+
+
+@pytest.mark.parametrize("name", POLY_KINDS)
+def test_differences_that_cancel(name):
+    kind, cap = KINDS[name]
+    cases = (
+        (HALVES, dict(HALVES)),  # everything cancels: zero over 1
+        ({(1,): Fraction(1, 2), (3,): Fraction(1, 4)}, {(3,): Fraction(1, 4)}),  # 4 -> 2
+        ({(1,): Fraction(1, 2), (2,): Fraction(1, 3)}, {(2,): Fraction(1, 3)}),  # 6 -> 2
+        ({(): Fraction(5, 6), (1,): Fraction(1, 3)}, {(): Fraction(1, 3)}),  # 6 -> 6
+    )
+    for a, b in cases:
+        fast = kind.fast(cap, a) - kind.fast(cap, b)
+        _agree_poly(kind, cap, fast, kind.ref(cap, a) - kind.ref(cap, b))
+        negated = kind.fast(cap, b) - kind.fast(cap, a)
+        _agree_poly(kind, cap, negated, kind.ref(cap, b) - kind.ref(cap, a))
+    assert (kind.fast(cap, HALVES) - kind.fast(cap, HALVES)).den == 1
+
+
+# zero, two constants and two general entries
+MIXED = [{}, {(): Fraction(2)}, {(): Fraction(-1, 2)}, HALVES, {(): 1, (2,): Fraction(1, 3)}]
+
+
+@pytest.mark.parametrize("name", ["standard-nc-seq", "standard-comm-seq"])
+@pytest.mark.parametrize("shift", range(len(MIXED)))
+def test_windows_mixing_zero_constant_and_general_entries(name, shift):
+    kind, cap = KINDS[name]
+    a, b = MIXED, MIXED[shift:] + MIXED[:shift]
+    fa, fb, ra, rb = kind.fast(cap, a), kind.fast(cap, b), kind.ref(cap, a), kind.ref(cap, b)
+    for fast, reference in (
+        (fa + fb, ra + rb), (fa - fb, ra - rb), (fa * fb, ra * rb), (fb * fa, rb * ra),
+        (-fa, -ra), (Fraction(2, 3) * fa, Fraction(2, 3) * ra), (0 * fa, 0 * ra),
+        (kind.R(fa), kind.ref_R(ra)), (kind.R(fa * fb), kind.ref_R(ra * rb)),
+    ):
+        _agree(kind, fast, reference)
+        assert all(type(p) is type(fa.num[0]) and p.cap == cap for p in fast.num)
+    assert fa - fa == 0 * fb
+
+
+# ---------------------------------------------------------------------------
+# samplers that draw integers: the same elements as the Fraction-built ones
+
+
+def _fractions(rng, count, top, den_top):
+    return [Fraction(rng.randint(-top, top), rng.randint(1, den_top)) for _ in range(count)]
+
+
+WIDE = laurent_algebra(12, 12)  # the CLI's Laurent carrier at --order 3
+SAMPLERS = {
+    "matrix3": (
+        matrix_algebra(3).random_element,
+        lambda rng: RatMatrix([_fractions(rng, 3, 3, 3) for _ in range(3)]),
+    ),
+    "summation": (
+        summation_algebra(10).random_element,
+        lambda rng: SeqElement(_fractions(rng, 10, 4, 3)),
+    ),
+    "integration": (
+        integration_algebra(24).random_element,
+        lambda rng: PolyFunction(_fractions(rng, 4, 3, 3), 24),
+    ),
+    "laurent": (
+        laurent_algebra().random_element,
+        lambda rng: LaurentElement(dict(zip(range(-2, 4), _fractions(rng, 6, 3, 2))), 4, 6),
+    ),
+    # a truncation below the top draw: the exponent 3 must be dropped
+    "laurent-short": (
+        laurent_algebra(4, 2).random_element,
+        lambda rng: LaurentElement(dict(zip(range(-2, 4), _fractions(rng, 6, 3, 2))), 4, 2),
+    ),
+    "cli-laurent": (
+        lambda rng: cli._MODELS["laurent"].operand(WIDE, rng),
+        lambda rng: LaurentElement(dict(zip(range(-2, 3), _fractions(rng, 5, 3, 2))), 12, 12),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_integer_samplers_match_the_fraction_ones(name):
+    drawn, built = SAMPLERS[name]
+    for seed in range(50):
+        rng_drawn, rng_built = random.Random(seed), random.Random(seed)
+        fast, reference = drawn(rng_drawn), built(rng_built)
+        assert type(fast) is type(reference)
+        assert (fast.num, fast.den) == (reference.num, reference.den)
+        assert str(fast) == str(reference)
+        assert rng_drawn.getstate() == rng_built.getstate()

@@ -142,6 +142,37 @@ class TestSeqElement:
         with pytest.raises(ValueError):
             SeqElement([Fraction(1)]) + SeqElement([Fraction(1), Fraction(2)])
 
+    def test_entries_are_rationals_or_one_polynomial_class_and_cap(self):
+        bad = (
+            [NCPoly.one(8), Fraction(1)],
+            [Fraction(1), NCPoly.one(8)],
+            [NCPoly.one(8), NCPoly.one(4)],
+            [NCPoly.one(8), NCPoly.one(None)],
+            [NCPoly.one(8), CPoly.one(8)],
+            [CPoly.one(8), NCPoly.one(8)],
+            [Fraction(1), "1/2"],
+            [1.5],
+        )
+        for entries in bad:
+            with pytest.raises(ValueError):
+                SeqElement(entries)
+        assert SeqElement([1, Fraction(1, 2)]).entries == (1, Fraction(1, 2))
+        assert SeqElement([CPoly.one(4), CPoly.zero(4)]).entries == (CPoly.one(4), CPoly.zero(4))
+
+    def test_polynomial_windows_of_different_caps_do_not_combine(self):
+        a = noncommutative_standard_algebra(3, 4).one
+        b = noncommutative_standard_algebra(3, 8).one
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a == b):
+            with pytest.raises(ValueError):
+                op()
+
+    def test_only_rationals_scale_a_window(self):
+        for w in (noncommutative_standard_algebra(3, 4).one, summation_algebra(3).one):
+            assert w.__rmul__(NCPoly.one(4)) is NotImplemented
+            assert w.__rmul__(1.5) is NotImplemented
+            with pytest.raises(TypeError):
+                1.5 * w
+
     def test_windows_are_unhashable(self):
         assert SeqElement.__hash__ is None
         for s in (SeqElement([Fraction(1)]), standard_generator(3, 4)):
