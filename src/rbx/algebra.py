@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -73,17 +73,45 @@ class RBAlgebra:
         )
 
 
+class SampleStream:
+    """Consecutive draws of one seeded generator, for one sampler at a time.
+
+    A plan keeps one stream, so its singles, pairs and triples, and those of
+    the plans narrowed from it, read one sequence of draws instead of
+    restarting the generator per check. The draws are the ones a fresh
+    ``random.Random(seed)`` gives, because only the sampler consumes it. A
+    new sampler or seed replaces the held draws.
+    """
+
+    __slots__ = ("sampler", "seed", "rng", "drawn")
+
+    def __init__(self):
+        self.sampler = self.seed = None
+
+    def take(self, sampler, seed: int, count: int) -> list:
+        """The first ``count`` elements ``sampler`` draws from ``random.Random(seed)``."""
+        if sampler is not self.sampler or seed != self.seed:
+            self.sampler, self.seed = sampler, seed
+            self.rng, self.drawn = random.Random(seed), []
+        drawn, rng = self.drawn, self.rng
+        drawn.extend(sampler(rng) for _ in range(count - len(drawn)))
+        return drawn[:count]
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     """Where the universally quantified laws are actually tested.
 
-    ``exhaustive`` enumerates the algebra's declared basis; ``random`` draws
-    fresh seeded tuples per trial. Deterministic given the seed.
+    ``exhaustive`` enumerates the algebra's declared basis; ``random`` reads
+    seeded draws: its singles, pairs and triples are consecutive draws of one
+    stream per carrier, so a plan with fewer trials checks a prefix of the
+    samples of one with more. Deterministic given the seed.
     """
 
     mode: str = "random"
     trials: int = 200
     seed: int = 42
+    stream: SampleStream = field(default_factory=SampleStream, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "random"):
@@ -91,28 +119,30 @@ class SamplePlan:
         if self.mode == "random" and self.trials < 1:
             raise ValueError(f"a random plan needs at least one trial, got {self.trials}")
 
+    def narrowed(self, trials: int) -> "SamplePlan":
+        """This plan at ``trials`` trials; ``replace`` keeps the stream, so
+        both plans read the same draws."""
+        return replace(self, trials=trials)
+
+    def _draws(self, alg: RBAlgebra, arity: int) -> list:
+        return self.stream.take(alg.random_element, self.seed, arity * self.trials)
+
     def singles(self, alg: RBAlgebra):
         if self.mode == "exhaustive":
             return list(alg.basis)
-        rng = random.Random(self.seed)
-        return [alg.random_element(rng) for _ in range(self.trials)]
+        return self._draws(alg, 1)
 
     def pairs(self, alg: RBAlgebra):
         if self.mode == "exhaustive":
             return list(itertools.product(alg.basis, repeat=2))
-        rng = random.Random(self.seed)
-        return [
-            (alg.random_element(rng), alg.random_element(rng)) for _ in range(self.trials)
-        ]
+        draws = self._draws(alg, 2)
+        return list(zip(draws[::2], draws[1::2]))
 
     def triples(self, alg: RBAlgebra):
         if self.mode == "exhaustive":
             return list(itertools.product(alg.basis, repeat=3))
-        rng = random.Random(self.seed)
-        return [
-            (alg.random_element(rng), alg.random_element(rng), alg.random_element(rng))
-            for _ in range(self.trials)
-        ]
+        draws = self._draws(alg, 3)
+        return list(zip(draws[::3], draws[1::3], draws[2::3]))
 
 
 def double_product(alg: RBAlgebra, x, y):
@@ -121,8 +151,12 @@ def double_product(alg: RBAlgebra, x, y):
 
 
 def _star(alg: RBAlgebra, x, y, rx, ry):
-    """The double product with rx = R(x) and ry = R(y) already computed."""
-    return rx * y + x * ry + alg.weight * (x * y)
+    """The double product with rx = R(x) and ry = R(y) already computed.
+
+    At weight 0 the product xy is not formed.
+    """
+    out = rx * y + x * ry
+    return out + alg.weight * (x * y) if alg.weight else out
 
 
 def tilde_operator(alg: RBAlgebra, x):
@@ -141,7 +175,8 @@ def prelie_left(alg: RBAlgebra, a, b):
 
 def _prelie(alg: RBAlgebra, a, ra, b):
     """prelie_left with ra = R(a) already computed."""
-    return ra * b - b * ra - alg.weight * (b * a)
+    out = ra * b - b * ra
+    return out - alg.weight * (b * a) if alg.weight else out
 
 
 def prelie_right(alg: RBAlgebra, a, b):
@@ -224,16 +259,21 @@ def check_double_assoc_and_hom(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
 
     def pair_laws(x, y):
         rx, ry = rb(x), rb(y)
-        xy = _star(alg, x, y, rx, ry)
+        # R(x)y, xR(y) and R(x)R(y) recur below, so each is formed once
+        rx_y, x_ry = rx * y, x * ry
+        xy = rx_y + x_ry + theta * (x * y) if theta else rx_y + x_ry
         rxy = rb(xy)
-        yield "hom", rxy, rx * ry
+        rx_ry = rx * ry
+        yield "hom", rxy, rx_ry
         yield "anti-hom", _tilde(alg, xy, rxy), -(_tilde(alg, x, rx) * _tilde(alg, y, ry))
         # rb law with the carrier product replaced by the double product
         rrx, rry = rb(rx), rb(ry)
-        lhs = _star(alg, rx, ry, rrx, rry)
-        yield "rb-for-double", lhs, rb(
-            _star(alg, rx, y, rrx, ry) + _star(alg, x, ry, rx, rry) + theta * xy
-        )
+        lhs, rx_star_y, x_star_ry = rrx * ry + rx * rry, rrx * y + rx_ry, rx_ry + x * rry
+        if theta:
+            lhs = lhs + theta * rx_ry
+            rx_star_y, x_star_ry = rx_star_y + theta * rx_y, x_star_ry + theta * x_ry
+        inner = rx_star_y + x_star_ry
+        yield "rb-for-double", lhs, rb(inner + theta * xy if theta else inner)
 
     bad = first_failure(alg.name, plan.triples(alg), triple_laws, "xyz") or first_failure(
         alg.name, plan.pairs(alg), pair_laws, "xy"
@@ -256,31 +296,43 @@ def check_prelie_axiom(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
     law, Jacobi for the induced bracket, and that the brackets of |> and of
     the double product coincide.
     """
-    rb = alg.rb
-    left = lambda a, b: prelie_left(alg, a, b)
-    right = lambda a, b: prelie_right(alg, a, b)
-    bracket = lambda a, b: left(a, b) - left(b, a)
+    rb, theta = alg.rb, alg.weight
+
+    def right(a, b, rb_):
+        """right(a, b) = -left(b, a), with rb_ = R(b)."""
+        return -_prelie(alg, b, rb_, a)
+
+    def bracket(a, b, rb_):
+        """left(a, b) - left(b, a), with rb_ = R(b)."""
+        return _prelie(alg, a, rb(a), b) - _prelie(alg, b, rb_, a)
 
     def triple_laws(x, y, z):
-        # the six products of two distinct inputs, shared by the laws below
+        # the six products of two distinct inputs, shared by the laws below;
+        # R is applied once to each distinct value
         rx, ry, rz = rb(x), rb(y), rb(z)
         xy, yx = _prelie(alg, x, rx, y), _prelie(alg, y, ry, x)
         yz, zy = _prelie(alg, y, ry, z), _prelie(alg, z, rz, y)
         xz, zx = _prelie(alg, x, rx, z), _prelie(alg, z, rz, x)
-        yield "left", left(xy, z) - _prelie(alg, x, rx, yz), left(yx, z) - _prelie(alg, y, ry, xz)
-        # right(a, b) = -left(b, a), so right(x, y) = -yx and so on
-        yield "right", right(-yx, z) - right(x, -zy), right(-zx, y) - right(x, -yz)
-        jac = (
-            bracket(xy - yx, z)
-            + bracket(yz - zy, x)
-            + bracket(zx - xz, y)
-        )
+        lhs = _prelie(alg, xy, rb(xy), z) - _prelie(alg, x, rx, yz)
+        yield "left", lhs, _prelie(alg, yx, rb(yx), z) - _prelie(alg, y, ry, xz)
+        # right(x, y) = -yx and so on
+        zy_, yz_ = -zy, -yz
+        lhs = right(-yx, z, rz) - right(x, zy_, rb(zy_))
+        yield "right", lhs, right(-zx, y, ry) - right(x, yz_, rb(yz_))
+        jac = bracket(xy - yx, z, rz) + bracket(yz - zy, x, rx) + bracket(zx - xz, y, ry)
         yield "jacobi", jac, alg.zero
 
     def pair_laws(x, y):
         rx, ry = rb(x), rb(y)
-        lhs = _prelie(alg, x, rx, y) - _prelie(alg, y, ry, x)
-        yield "bracket-match", lhs, _star(alg, x, y, rx, ry) - _star(alg, y, x, ry, rx)
+        # each of the six products once: both sides are sums of them
+        rx_y, y_rx, ry_x, x_ry = rx * y, y * rx, ry * x, x * ry
+        left_xy, left_yx = rx_y - y_rx, ry_x - x_ry
+        star_xy, star_yx = rx_y + x_ry, ry_x + y_rx
+        if theta:
+            xy, yx = theta * (x * y), theta * (y * x)
+            left_xy, left_yx = left_xy - yx, left_yx - xy
+            star_xy, star_yx = star_xy + xy, star_yx + yx
+        yield "bracket-match", left_xy - left_yx, star_xy - star_yx
 
     bad = first_failure(alg.name, plan.triples(alg), triple_laws, "xyz") or first_failure(
         alg.name, plan.pairs(alg), pair_laws, "xy"

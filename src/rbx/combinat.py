@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConfigError
 from .polynomials import NCPoly, Word
@@ -198,10 +197,13 @@ def shuffle(u: Word, v: Word) -> list:
 
 
 def word_sum(words, cap: int | None = None) -> NCPoly:
-    out: dict = {}
+    """The words added up, each with its multiplicity; those over the cap drop."""
+    num: dict = {}
     for w in words:
-        out[w] = out.get(w, Fraction(0)) + 1
-    return NCPoly(out, cap)
+        key = w.letters
+        if cap is None or len(key) <= cap:
+            num[key] = num.get(key, 0) + 1
+    return NCPoly._of(num, 1, cap)
 
 
 def shuffle_sum(u: Word, v: Word, cap: int | None = None) -> NCPoly:
@@ -235,17 +237,38 @@ def shuffle_lower(u: Word, v: Word, cap: int | None = None) -> NCPoly:
 
 
 def quasi_shuffle(u: Word, v: Word, alpha: MonoidAlphabet, cap: int | None = None) -> NCPoly:
-    """(au') qsh (bv') = a(u' qsh bv') + b(au' qsh v') + (a+b)(u' qsh v')."""
-    if not len(u):
-        return NCPoly.from_word(v, 1, cap)
-    if not len(v):
-        return NCPoly.from_word(u, 1, cap)
-    a, b = u.letters[0], v.letters[0]
-    ut, vt = Word(u.letters[1:]), Word(v.letters[1:])
-    out = NCPoly.from_word(Word((a,)), 1, cap) * quasi_shuffle(ut, v, alpha, cap)
-    out = out + NCPoly.from_word(Word((b,)), 1, cap) * quasi_shuffle(u, vt, alpha, cap)
-    merged = Word((alpha.combine(a, b),))
-    return out + NCPoly.from_word(merged, 1, cap) * quasi_shuffle(ut, vt, alpha, cap)
+    """(au') qsh (bv') = a(u' qsh bv') + b(au' qsh v') + (a+b)(u' qsh v').
+
+    One recursion over the suffixes u[i:], v[j:], each product formed once in
+    the call, as a map word -> integer multiplicity. Words over the cap drop.
+    """
+    us, vs = u.letters, v.letters
+    done: dict = {}
+
+    def suffixes(i: int, j: int) -> dict:
+        out = done.get((i, j))
+        if out is not None:
+            return out
+        if i == len(us) or j == len(vs):
+            w = us[i:] + vs[j:]  # one of the two is empty
+            out = {w: 1} if cap is None or len(w) <= cap else {}
+        else:
+            a, b = us[i], vs[j]
+            out = {}
+            get = out.get
+            for head, rest in (
+                (a, suffixes(i + 1, j)),
+                (b, suffixes(i, j + 1)),
+                (alpha.combine(a, b), suffixes(i + 1, j + 1)),
+            ):
+                for w, c in rest.items():
+                    if cap is None or len(w) < cap:
+                        w = (head, *w)
+                        out[w] = get(w, 0) + c
+        done[i, j] = out
+        return out
+
+    return NCPoly._of(suffixes(0, 0), 1, cap)
 
 
 def quasi_shuffle_upper(

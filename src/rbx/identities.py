@@ -152,7 +152,8 @@ def atkinson_lemma(alg: RBAlgebra, plan: SamplePlan) -> str | None:
 
     def laws(a, b):
         tb = tilde_operator(alg, b)
-        yield "lemma", alg.rb(a) * tb, alg.rb(a * tb) + tilde_operator(alg, alg.rb(a) * b)
+        ra = alg.rb(a)
+        yield "lemma", ra * tb, alg.rb(a * tb) + tilde_operator(alg, ra * b)
 
     return first_failure(alg.name, plan.pairs(alg), laws, "ab")
 
@@ -431,14 +432,23 @@ def check_bohnenblust_spitzer(ops: BSOperands, form: str) -> CheckResult:
         anchor = "Eq. (clBSp)"
         if not alg.commutative:
             raise ConfigError("partitions form needs a commutative carrier")
+        # Each term is the left fold of its blocks in the double product.
+        # In sorted order, partitions that share their first blocks are
+        # adjacent, so only the fold path of the previous one is kept: the
+        # (block, fold up to it) pairs, and each prefix is folded once.
         rhs = alg.zero
-        for part in set_partitions(ops.n):
-            blocks = []
-            for block in part.blocks:
+        path = []
+        for part in sorted(set_partitions(ops.n), key=lambda p: p.blocks):
+            blocks = part.blocks
+            keep = 0
+            while keep < len(path) and keep < len(blocks) and path[keep][0] == blocks[keep]:
+                keep += 1
+            del path[keep:]
+            for block in blocks[keep:]:
                 prod = functools.reduce(lambda u, v: u * v, (ops.at(j) for j in block))
-                blocks.append(Fraction(math.factorial(len(block) - 1)) * prod)
-            term = functools.reduce(star, blocks)
-            rhs = rhs + (-theta) ** (ops.n - part.block_count) * term
+                value = math.factorial(len(block) - 1) * prod
+                path.append((block, star(path[-1][1], value) if path else value))
+            rhs = rhs + (-theta) ** (ops.n - part.block_count) * path[-1][1]
     elif form == "cycles-prelie":
         anchor = "Eq. (clBSpPerm)"
         rhs = _cycles_prelie_rhs(ops)
@@ -461,7 +471,9 @@ def check_bohnenblust_spitzer(ops: BSOperands, form: str) -> CheckResult:
 # BCH in the carrier and double products
 
 
-def bch_of_series(alg: RBAlgebra, a: LambdaSeries, b: LambdaSeries, product: str = "carrier") -> LambdaSeries:
+def bch_of_series(
+    alg: RBAlgebra, a: LambdaSeries, b: LambdaSeries, product: str = "carrier"
+) -> LambdaSeries:
     """log(exp(a) exp(b)) for series with zero constant coefficient, as
     log(1 + A + B + A B) with A = exp(a) - 1 and B = exp(b) - 1."""
     if product == "carrier":

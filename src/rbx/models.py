@@ -34,6 +34,7 @@ from .scalars import (
     lowest_terms,
     lowest_terms_sparse,
     over_common_denominator,
+    randint,
 )
 
 __all__ = [
@@ -128,7 +129,8 @@ class RatMatrix(DenseCarrier):
         return RatMatrix._of(n, out, self.den * other.den)
 
     def __str__(self) -> str:
-        return "[" + ", ".join("[" + ", ".join(str(v) for v in row) + "]" for row in self.rows) + "]"
+        rows = ("[" + ", ".join(str(v) for v in row) + "]" for row in self.rows)
+        return "[" + ", ".join(rows) + "]"
 
     __repr__ = __str__
 
@@ -440,14 +442,15 @@ def _standard_algebra(window: int, cap: int, poly, kind: str) -> RBAlgebra:
 
     # sparse draws: a constant part plus letter terms at two slots. Laws are
     # multilinear, so this spans the same coverage while keeping iterated
-    # partial sums from piling up terms quadratically.
+    # partial sums from piling up terms quadratically. A letter coefficient
+    # is drawn as Fraction(randint(-2, 2), randint(1, 2)) would draw it.
     def rand(rng: random.Random) -> SeqElement:
-        entries = [Fraction(rng.randint(-2, 2)) * unit] * window
+        entries = [randint(rng, -2, 2) * unit] * window
         for _ in range(2):
-            slot = rng.randint(1, top)
-            d = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-            entries[slot] = entries[slot] + d * letters[slot]
-        return SeqElement(entries)
+            slot = randint(rng, 1, top)
+            n = randint(rng, -2, 2)
+            entries[slot] = entries[slot] + letters[slot]._scaled(n, randint(rng, 1, 2))
+        return SeqElement._window(entries)
 
     return RBAlgebra(
         name=f"standard-{kind}[W={window}]",

@@ -111,6 +111,16 @@ class NCPoly(SparseCarrier):
         p.cap = self.cap
         return p
 
+    @classmethod
+    def _of(cls, num: dict, den: int, cap: int | None) -> "NCPoly":
+        """A polynomial from canonical numerators keyed by letter tuples: no
+        zeros, lowest terms, no key longer than the cap, sorted keys for CPoly."""
+        p = object.__new__(cls)
+        p.num = num
+        p.den = den
+        p.cap = cap
+        return p
+
     @property
     def terms(self) -> dict:
         den = self.den
@@ -130,7 +140,13 @@ class NCPoly(SparseCarrier):
 
     @classmethod
     def from_word(cls, w: Word, coeff=1, cap: int | None = None) -> "NCPoly":
-        return cls({w: Fraction(coeff)}, cap)
+        """coeff * w, for a rational coeff; zero when w is longer than the cap."""
+        if type(coeff) is not int:
+            coeff = Fraction(coeff)
+        key = tuple(sorted(w.letters)) if cls._commutative else w.letters
+        if not coeff or (cap is not None and len(key) > cap):
+            return cls._of({}, 1, cap)
+        return cls._of({key: coeff.numerator}, coeff.denominator, cap)
 
     def _match_shape(self, other: "NCPoly") -> None:
         if self.cap != other.cap:

@@ -75,7 +75,8 @@ class Report:
     def to_text(self) -> str:
         lines = [f"suite: {self.suite}"]
         if self.params:
-            lines.append("params: " + " ".join(f"{k}={self.params[k]}" for k in sorted(self.params)))
+            params = " ".join(f"{k}={self.params[k]}" for k in sorted(self.params))
+            lines.append("params: " + params)
         if self.checks:
             width = max(len(c.name) for c in self.checks)
             awidth = max(len(c.anchor) for c in self.checks)

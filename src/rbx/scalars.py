@@ -89,6 +89,21 @@ def over_common_denominator(values) -> tuple:
     return [q.numerator * (den // q.denominator) for q in fracs], den
 
 
+def randint(rng, a: int, b: int) -> int:
+    """``rng.randint(a, b)`` for a ``random.Random``, without its call layers.
+
+    This is CPython's own algorithm: draw ``getrandbits(k)``, with k the bit
+    length of b - a + 1, until the draw is below b - a + 1. So it returns the
+    same value and leaves the generator in the same state.
+    """
+    n = b - a + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
 def draw_rationals(rng, count: int, top: int, den_top: int) -> tuple:
     """``count`` draws of randint(-top, top) / randint(1, den_top), as
     ``over_common_denominator`` gives them, with no ``Fraction`` built.
@@ -99,8 +114,8 @@ def draw_rationals(rng, count: int, top: int, den_top: int) -> tuple:
     """
     pairs = []
     for _ in range(count):
-        p = rng.randint(-top, top)
-        q = rng.randint(1, den_top)
+        p = randint(rng, -top, top)
+        q = randint(rng, 1, den_top)
         g = math.gcd(p, q)
         pairs.append((p // g, q // g))
     den = math.lcm(*(q for _, q in pairs))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 # rbxbench/tracer.py counts `double_product` calls by its name here, so it stays bound
-from .algebra import RBAlgebra, SamplePlan, _star, b_operator, double_product, first_failure
+from .algebra import RBAlgebra, SamplePlan, b_operator, double_product, first_failure
 from .errors import ConfigError
 from .models import RatMatrix, matrix_algebra
 from .report import CheckResult
@@ -93,7 +93,9 @@ def rb_from_tensor(r: TensorR):
     """x -> sum u_i x v_i; a weight-0 Rota-Baxter operator when AYBE holds."""
     check = aybe_check(r)
     if check.status != "pass":
-        raise ValueError(f"tensor fails the associative Yang-Baxter equation: {check.counterexample}")
+        raise ValueError(
+            f"tensor fails the associative Yang-Baxter equation: {check.counterexample}"
+        )
 
     def rb(x: RatMatrix) -> RatMatrix:
         out = RatMatrix.zeros(x.dim)
@@ -142,11 +144,12 @@ def check_dendriform(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
         up_bc, down_bc = b * rc, rb * c
         yield "up-up", up_ab * rc, a * op(up_bc + down_bc)
         yield "down-up", ra * up_bc, down_ab * rc
-        yield "down-down", ra * down_bc, op(up_ab + down_ab) * c
+        ra_down_bc = ra * down_bc
+        yield "down-down", ra_down_bc, op(up_ab + down_ab) * c
         if alg.commutative:
             # the commutative axioms collapse the triple to a single product
             yield "flip", down_ab, b * ra
-            yield "comm", ra * down_bc, op(down_ab + rb * a) * c
+            yield "comm", ra_down_bc, op(down_ab + rb * a) * c
 
     bad = first_failure(alg.name, plan.triples(alg), laws, "abc")
     return CheckResult.of(f"dendriform/{alg.name}/{plan.mode}", "Eq. (demishuffleNC)", bad)
@@ -167,23 +170,28 @@ def check_operator_ybe(alg: RBAlgebra, plan: SamplePlan = SamplePlan("exhaustive
         return br(rx, y) + br(x, ry)
 
     # up(x, y) = [x, R(y)] and down(x, y) = [R(x), y], written out below so
-    # that each R value is computed once per sample
+    # that each R value and each inner bracket is formed once per sample;
+    # the bracket is antisymmetric, so [b, a] is read as -[a, b]
     def pair_laws(x, y):
         rx, ry = rb(x), rb(y)
-        bracket = br_r(x, rx, y, ry)
+        rx_y, x_ry = br(rx, y), br(x, ry)
+        bracket = rx_y + x_ry
         yield "ybe", br(rx, ry), rb(bracket)
-        yield "split", bracket, br(x, ry) - br(y, rx)
+        yield "split", bracket, x_ry - (-rx_y)
 
     def triple_laws(x, y, z):
         rx, ry, rz = rb(x), rb(y), rb(z)
-        xy, yz, zx = br_r(x, rx, y, ry), br_r(y, ry, z, rz), br_r(z, rz, x, rx)
+        rx_y, x_ry = br(rx, y), br(x, ry)
+        ry_z, y_rz = br(ry, z), br(y, rz)
+        rz_x, z_rx = br(rz, x), br(z, rx)
+        xy, yz, zx = rx_y + x_ry, ry_z + y_rz, rz_x + z_rx
         jac = br_r(xy, rb(xy), z, rz) + br_r(yz, rb(yz), x, rx) + br_r(zx, rb(zx), y, ry)
         yield "jacobi", jac, alg.zero
-        lhs = br(br(x, ry), rz) - br(x, rb(br(y, rz)))
-        rhs = br(br(x, rz), ry) - br(x, rb(br(z, ry)))
+        lhs = br(x_ry, rz) - br(x, rb(y_rz))
+        rhs = br(-rz_x, ry) - br(x, rb(-ry_z))
         yield "up-right-prelie", lhs, rhs
-        lhs = br(rb(br(rx, y)), z) - br(rx, br(ry, z))
-        rhs = br(rb(br(ry, x)), z) - br(ry, br(rx, z))
+        lhs = br(rb(rx_y), z) - br(rx, ry_z)
+        rhs = br(rb(-x_ry), z) - br(ry, -z_rx)
         yield "down-left-prelie", lhs, rhs
 
     bad = first_failure(alg.name, plan.pairs(alg), pair_laws, "xy") or first_failure(
@@ -209,10 +217,16 @@ def check_modified_ybe(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
     def pair_laws(x, y):
         rx, ry = alg.rb(x), alg.rb(y)
         bx, by = 2 * rx + theta * x, 2 * ry + theta * y
-        split = bx * y + x * by
-        yield "associative", bx * by, b(split) - theta**2 * (x * y)
-        yield "lie", br(bx, by), b(br(bx, y) + br(x, by)) - theta**2 * br(x, y)
-        yield "rewrite", _star(alg, x, y, rx, ry), half * split
+        # B(x)y, xB(y), B(x)B(y) and xy recur below, so each is formed once
+        bx_y, x_by = bx * y, x * by
+        split = bx_y + x_by
+        bx_by, b_split = bx * by, b(split)
+        xy = x * y
+        yield "associative", bx_by, b_split - theta**2 * xy
+        lie = bx_by - by * bx
+        yield "lie", lie, b((bx_y - y * bx) + (x_by - by * x)) - theta**2 * (xy - y * x)
+        rewrite = rx * y + x * ry
+        yield "rewrite", rewrite + theta * xy if theta else rewrite, half * split
 
     def triple_laws(x, y, z):
         bx, by, bz = b(x), b(y), b(z)

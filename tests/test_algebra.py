@@ -1,5 +1,6 @@
 """Derived structure of a weighted Rota-Baxter operator."""
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -41,6 +42,7 @@ from rbx import (
     tilde_operator,
 )
 from rbx.algebra import CUT, first_failure
+from rbx.cli import SuiteConfig, default_models
 
 EX = SamplePlan("exhaustive")
 M3 = matrix_algebra(3)
@@ -68,6 +70,35 @@ class TestSamplePlan:
         plan = SamplePlan("random", trials=7, seed=11)
         assert plan.singles(alg) == plan.singles(alg)
         assert plan.pairs(alg) == plan.pairs(alg)
+
+    def test_a_shared_stream_draws_what_fresh_generators_draw(self):
+        # every call order of a plan's and a narrowed plan's samples, on every
+        # registry carrier in turn and again after switching back, against a
+        # fresh random.Random(seed) per call
+        registry = list(default_models(SuiteConfig()).values())
+        arity = {"singles": 1, "pairs": 2, "triples": 3}
+        fresh = {}
+        for alg in registry:
+            for trials, call in itertools.product((5, 2), arity):
+                rng = random.Random(3)
+                samples = [
+                    tuple(alg.random_element(rng) for _ in range(arity[call]))
+                    for _ in range(trials)
+                ]
+                fresh[alg.name, trials, call] = samples if call != "singles" else [
+                    x for x, in samples
+                ]
+        calls = [(0, "singles"), (0, "pairs"), (0, "triples"), (1, "pairs"), (1, "triples")]
+        for order in itertools.permutations(calls):
+            plan = SamplePlan("random", trials=5, seed=3)
+            plans = (plan, plan.narrowed(2))
+            for alg in registry + registry[::-1]:
+                for which, call in order:
+                    got = getattr(plans[which], call)(alg)
+                    assert got == fresh[alg.name, plans[which].trials, call]
+        # a plan replaced at another seed shares the stream but not its draws
+        alg, rng = registry[0], random.Random(4)
+        assert replace(plan, seed=4).singles(alg) == [alg.random_element(rng) for _ in range(5)]
 
 
 class TestDoubleProduct:

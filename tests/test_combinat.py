@@ -1,5 +1,7 @@
 """Permutations, set partitions, shuffles, and quasi-shuffles."""
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from rbx import (
     shuffle_upper,
     word_sum,
 )
+from rbx.polynomials import CPoly
 
 BELL = [1, 2, 5, 15, 52, 203]
 
@@ -199,3 +202,42 @@ def test_quasi_shuffle_associates(u, v, w):
     left = bilinear(op, op(u, v), NCPoly.from_word(w))
     right = bilinear(op, NCPoly.from_word(u), op(v, w))
     assert left == right
+
+
+@functools.lru_cache(maxsize=None)
+def _hoffman(u: Word, v: Word, alpha: MonoidAlphabet, cap=None) -> NCPoly:
+    """The plain Hoffman recursion on polynomials: the oracle for quasi_shuffle."""
+    if not len(u):
+        return NCPoly.from_word(v, 1, cap)
+    if not len(v):
+        return NCPoly.from_word(u, 1, cap)
+    a, b = u.letters[0], v.letters[0]
+    ut, vt = Word(u.letters[1:]), Word(v.letters[1:])
+    out = NCPoly.from_word(Word((a,)), 1, cap) * _hoffman(ut, v, alpha, cap)
+    out = out + NCPoly.from_word(Word((b,)), 1, cap) * _hoffman(u, vt, alpha, cap)
+    merged = Word((alpha.combine(a, b),))
+    return out + NCPoly.from_word(merged, 1, cap) * _hoffman(ut, vt, alpha, cap)
+
+
+def _stored(p: NCPoly) -> tuple:
+    return type(p), p.num, p.den, p.cap
+
+
+def test_quasi_shuffle_matches_the_hoffman_recursion():
+    alpha = MonoidAlphabet(4)
+    words = [Word(())] + list(alpha.words(3))
+    for cap, u, v in itertools.product((None, 2, 4), words, words):
+        assert _stored(quasi_shuffle(u, v, alpha, cap)) == _stored(_hoffman(u, v, alpha, cap))
+
+
+def test_from_word_and_word_sum_store_what_the_constructor_stores():
+    coeffs = (0, 1, -3, Fraction(2, 6), Fraction(-5, 4), Fraction(7))
+    words = (Word(()), Word((3,)), Word((2, 1)), Word((1, 2, 1)))
+    for cls, coeff, cap, w in itertools.product((NCPoly, CPoly), coeffs, (None, 1, 2), words):
+        assert _stored(cls.from_word(w, coeff, cap)) == _stored(cls({w: Fraction(coeff)}, cap))
+    multiset = [Word((1, 2)), Word((1,)), Word((1, 2)), Word((2, 1, 3)), Word(())]
+    for cap in (None, 0, 2):
+        counts = {}
+        for w in multiset:
+            counts[w] = counts.get(w, 0) + 1
+        assert _stored(word_sum(multiset, cap)) == _stored(NCPoly(counts, cap))

@@ -1,5 +1,7 @@
 """Rational scalars, Bernoulli numbers, and truncated lambda-series."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from rbx import LambdaSeries, bernoulli, matrix_algebra, parse_rational
 from rbx.models import RatMatrix
+from rbx.scalars import randint
 from rbx.series import series_exp, series_inverse, series_log
 
 M2 = matrix_algebra(2)
@@ -122,3 +125,19 @@ def test_linear_structure():
     assert (Fraction(1, 3) * a).coefficient(2) == _scalar(Fraction(1))
     assert (2 * a).coefficient(0) == _scalar(Fraction(2))
     assert (-a) + a == LambdaSeries.zero(M2, 2)
+
+
+# every range a sampler draws from: draw_rationals for matrix, integration
+# (-3..3 over 1..3), laurent (-3..3 over 1..2) and summation (-4..4 over
+# 1..3); the standard windows (-2..2, 1..2 and slots 1..W-1 for W = 3..16);
+# and the standard operand (indices 0..3 and 0..4)
+SAMPLER_RANGES = [(-3, 3), (1, 3), (1, 2), (-4, 4), (-2, 2), (0, 3), (0, 4)] + [
+    (1, top) for top in range(2, 16)
+]
+
+
+def test_randint_draws_what_random_randint_draws():
+    for (a, b), seed in itertools.product(SAMPLER_RANGES, range(50)):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [randint(ours, a, b) for _ in range(20)] == [theirs.randint(a, b) for _ in range(20)]
+        assert ours.getstate() == theirs.getstate()
