@@ -204,19 +204,26 @@ def test_quasi_shuffle_associates(u, v, w):
     assert left == right
 
 
-@functools.lru_cache(maxsize=None)
-def _hoffman(u: Word, v: Word, alpha: MonoidAlphabet, cap=None) -> NCPoly:
-    """The plain Hoffman recursion on polynomials: the oracle for quasi_shuffle."""
-    if not len(u):
-        return NCPoly.from_word(v, 1, cap)
-    if not len(v):
-        return NCPoly.from_word(u, 1, cap)
-    a, b = u.letters[0], v.letters[0]
-    ut, vt = Word(u.letters[1:]), Word(v.letters[1:])
-    out = NCPoly.from_word(Word((a,)), 1, cap) * _hoffman(ut, v, alpha, cap)
-    out = out + NCPoly.from_word(Word((b,)), 1, cap) * _hoffman(u, vt, alpha, cap)
-    merged = Word((alpha.combine(a, b),))
-    return out + NCPoly.from_word(merged, 1, cap) * _hoffman(ut, vt, alpha, cap)
+def _hoffman_oracle(alpha: MonoidAlphabet, cap):
+    """The plain Hoffman recursion on polynomials: the oracle for quasi_shuffle.
+
+    Memoized for one alphabet and cap; the table goes with the function.
+    """
+
+    @functools.lru_cache(maxsize=None)
+    def hoffman(u: Word, v: Word) -> NCPoly:
+        if not len(u):
+            return NCPoly.from_word(v, 1, cap)
+        if not len(v):
+            return NCPoly.from_word(u, 1, cap)
+        a, b = u.letters[0], v.letters[0]
+        ut, vt = Word(u.letters[1:]), Word(v.letters[1:])
+        out = NCPoly.from_word(Word((a,)), 1, cap) * hoffman(ut, v)
+        out = out + NCPoly.from_word(Word((b,)), 1, cap) * hoffman(u, vt)
+        merged = Word((alpha.combine(a, b),))
+        return out + NCPoly.from_word(merged, 1, cap) * hoffman(ut, vt)
+
+    return hoffman
 
 
 def _stored(p: NCPoly) -> tuple:
@@ -226,8 +233,10 @@ def _stored(p: NCPoly) -> tuple:
 def test_quasi_shuffle_matches_the_hoffman_recursion():
     alpha = MonoidAlphabet(4)
     words = [Word(())] + list(alpha.words(3))
-    for cap, u, v in itertools.product((None, 2, 4), words, words):
-        assert _stored(quasi_shuffle(u, v, alpha, cap)) == _stored(_hoffman(u, v, alpha, cap))
+    for cap in (None, 2, 4):
+        hoffman = _hoffman_oracle(alpha, cap)
+        for u, v in itertools.product(words, words):
+            assert _stored(quasi_shuffle(u, v, alpha, cap)) == _stored(hoffman(u, v))
 
 
 def test_from_word_and_word_sum_store_what_the_constructor_stores():
