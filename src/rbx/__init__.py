@@ -16,9 +16,7 @@ from .algebra import (
     check_rb_law,
     check_weight_rescale,
     double_product,
-    half_shuffles,
     prelie_left,
-    prelie_right,
     tilde_operator,
 )
 from .combinat import (
@@ -45,8 +43,6 @@ from .errors import ConfigError
 from .identities import (
     BSOperands,
     MagnusExpansion,
-    atkinson_solutions,
-    bch_series,
     bogoliubov_decompose,
     check_atkinson,
     check_bogoliubov,
@@ -81,12 +77,11 @@ from .models import (
     standard_generator,
     standard_sum_operator,
     summation_algebra,
-    summation_operator,
     triangular_projection,
 )
 from .polynomials import CPoly, NCPoly
 from .report import CheckResult, Report, emit_report
-from .scalars import Rational, bernoulli, parse_rational
+from .scalars import bernoulli, parse_rational
 from .series import LambdaSeries, series_exp, series_inverse, series_log
 from .yangbaxter import (
     TensorR,
@@ -128,7 +123,6 @@ __all__ = [
     "PolyFunction",
     "RBAlgebra",
     "RatMatrix",
-    "Rational",
     "Report",
     "SamplePlan",
     "SeqElement",
@@ -136,10 +130,8 @@ __all__ = [
     "SuiteConfig",
     "TensorR",
     "Word",
-    "atkinson_solutions",
     "aybe_check",
     "b_operator",
-    "bch_series",
     "bernoulli",
     "bilinear",
     "bogoliubov_decompose",
@@ -166,7 +158,6 @@ __all__ = [
     "emit_report",
     "finite_difference",
     "flows_product",
-    "half_shuffles",
     "integration_algebra",
     "is_shuffle_of",
     "kron",
@@ -183,7 +174,6 @@ __all__ = [
     "polynomial_derivative",
     "prelie_left",
     "prelie_magnus",
-    "prelie_right",
     "quasi_shuffle",
     "quasi_shuffle_lower",
     "quasi_shuffle_merge",
@@ -204,7 +194,6 @@ __all__ = [
     "standard_generator",
     "standard_sum_operator",
     "summation_algebra",
-    "summation_operator",
     "tensor_rb_algebra",
     "tilde_operator",
     "triangular_projection",

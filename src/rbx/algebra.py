@@ -6,10 +6,10 @@ a rational weight theta subject to
     R(x) R(y) = R( R(x) y + x R(y) + theta x y ).           (rb law)
 
 Everything else here is derived from that single relation: the associative
-double product, the complementary tilde operator, the induced pre-Lie
-products, the B operator, and the half-shuffle split. The ``check_*``
-functions verify the laws over a declared ``SamplePlan``; they return results,
-never raise on mathematical failure.
+double product, the complementary tilde operator, the induced left pre-Lie
+product and the B operator. The ``check_*`` functions verify the laws over a
+declared ``SamplePlan``; they return results, never raise on mathematical
+failure.
 
 Every check in the package states its laws as (law, lhs, rhs) triples;
 ``first_failure`` compares them, stops at the first unequal pair and renders it.
@@ -31,9 +31,7 @@ __all__ = [
     "double_product",
     "tilde_operator",
     "prelie_left",
-    "prelie_right",
     "b_operator",
-    "half_shuffles",
     "first_failure",
     "check_rb_law",
     "check_linearity",
@@ -76,11 +74,11 @@ class RBAlgebra:
 class SampleStream:
     """Consecutive draws of one seeded generator, for one sampler at a time.
 
-    A plan keeps one stream, so its singles, pairs and triples, and those of
-    the plans narrowed from it, read one sequence of draws instead of
-    restarting the generator per check. The draws are the ones a fresh
-    ``random.Random(seed)`` gives, because only the sampler consumes it. A
-    new sampler or seed replaces the held draws.
+    A plan keeps one stream, so its pairs and triples, and those of the plans
+    narrowed from it, read one sequence of draws instead of restarting the
+    generator per check. The draws are the ones a fresh ``random.Random(seed)``
+    gives, because only the sampler consumes it. A new sampler or seed
+    replaces the held draws.
     """
 
     __slots__ = ("sampler", "seed", "rng", "drawn")
@@ -103,7 +101,7 @@ class SamplePlan:
     """Where the universally quantified laws are actually tested.
 
     ``exhaustive`` enumerates the algebra's declared basis; ``random`` reads
-    seeded draws: its singles, pairs and triples are consecutive draws of one
+    seeded draws: its pairs and triples are consecutive draws of one
     stream per carrier, so a plan with fewer trials checks a prefix of the
     samples of one with more. Deterministic given the seed.
     """
@@ -126,11 +124,6 @@ class SamplePlan:
 
     def _draws(self, alg: RBAlgebra, arity: int) -> list:
         return self.stream.take(alg.random_element, self.seed, arity * self.trials)
-
-    def singles(self, alg: RBAlgebra):
-        if self.mode == "exhaustive":
-            return list(alg.basis)
-        return self._draws(alg, 1)
 
     def pairs(self, alg: RBAlgebra):
         if self.mode == "exhaustive":
@@ -179,22 +172,9 @@ def _prelie(alg: RBAlgebra, a, ra, b):
     return out - alg.weight * (b * a) if alg.weight else out
 
 
-def prelie_right(alg: RBAlgebra, a, b):
-    """Right pre-Lie companion: -prelie_left(b, a)."""
-    return -prelie_left(alg, b, a)
-
-
 def b_operator(alg: RBAlgebra, x):
     """B(x) = R(x) - tilde(x) = 2R(x) + theta*x."""
     return 2 * alg.rb(x) + alg.weight * x
-
-
-def half_shuffles(alg: RBAlgebra, x, y):
-    """The pair (x up y, x down y) = (x R(y), R(x) y).
-
-    Their sum plus theta*x*y recombines into the double product.
-    """
-    return (x * alg.rb(y), alg.rb(x) * y)
 
 
 # characters of each rendered value a counterexample keeps
@@ -281,11 +261,9 @@ def check_double_assoc_and_hom(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
     return CheckResult.of(f"double-product/{alg.name}/{plan.mode}", "Eq. (double)", bad)
 
 
-def check_weight_rescale(
-    alg: RBAlgebra, beta: Fraction, plan: SamplePlan, name: str | None = None
-) -> CheckResult:
+def check_weight_rescale(alg: RBAlgebra, beta: Fraction, plan: SamplePlan) -> CheckResult:
     """beta*R satisfies the rb law with weight beta*theta."""
-    name = name or f"weight-rescale/{alg.name}/beta={beta}/{plan.mode}"
+    name = f"weight-rescale/{alg.name}/beta={beta}/{plan.mode}"
     return check_rb_law(alg.rescaled(beta), plan, name=name)
 
 

@@ -132,6 +132,8 @@ class SuiteConfig:
             raise ConfigError(f"bs-arity must be in 1..6, got {self.bs_arity}")
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
+        if self.weight == 0:
+            raise ConfigError("--weight 0 would rescale every operator to the zero map")
         if self.format not in ("text", "json"):
             raise ConfigError(f"format must be text or json, got {self.format!r}")
 
@@ -589,7 +591,7 @@ def _suite_atkinson(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     for key, alg in picked:
         lemma = atkinson_lemma(alg, rnd)  # does not involve the source: once per carrier
         for i, x in enumerate(_sources(cfg, key, alg, 2)):
-            checks.append(_tag(check_atkinson(alg, x, cfg.order, rnd, lemma), f"x{i}"))
+            checks.append(_tag(check_atkinson(alg, x, cfg.order, lemma), f"x{i}"))
     return checks
 
 

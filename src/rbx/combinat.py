@@ -133,10 +133,6 @@ class SetPartition:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    @property
-    def block_sizes(self) -> tuple:
-        return tuple(len(b) for b in self.blocks)
-
     def __str__(self) -> str:
         return "".join("{" + ",".join(str(i) for i in b) + "}" for b in self.blocks)
 
@@ -196,51 +192,50 @@ def shuffle(u: Word, v: Word) -> list:
     return out
 
 
-def word_sum(words, cap: int | None = None) -> NCPoly:
-    """The words added up, each with its multiplicity; those over the cap drop."""
+def word_sum(words) -> NCPoly:
+    """The words added up, each with its multiplicity."""
     num: dict = {}
     for w in words:
         key = w.letters
-        if cap is None or len(key) <= cap:
-            num[key] = num.get(key, 0) + 1
-    return NCPoly._of(num, 1, cap)
+        num[key] = num.get(key, 0) + 1
+    return NCPoly._of(num, 1, None)
 
 
-def shuffle_sum(u: Word, v: Word, cap: int | None = None) -> NCPoly:
-    return word_sum(shuffle(u, v), cap)
+def shuffle_sum(u: Word, v: Word) -> NCPoly:
+    return word_sum(shuffle(u, v))
 
 
 def is_shuffle_of(w: Word, u: Word, v: Word) -> bool:
     return w in shuffle(u, v)
 
 
-def shuffle_upper(u: Word, v: Word, cap: int | None = None) -> NCPoly:
+def shuffle_upper(u: Word, v: Word) -> NCPoly:
     """u up v = a (u' sh v) for u = au'; undefined for empty u."""
     if not len(u):
         raise ValueError("upper half-shuffle needs a nonempty left word")
     head = Word(u.letters[:1])
     tail = Word(u.letters[1:])
-    return NCPoly.from_word(head, 1, cap) * shuffle_sum(tail, v, cap)
+    return NCPoly.from_word(head) * shuffle_sum(tail, v)
 
 
-def shuffle_lower(u: Word, v: Word, cap: int | None = None) -> NCPoly:
+def shuffle_lower(u: Word, v: Word) -> NCPoly:
     """u down v = b (u sh v') for v = bv'; undefined for empty v."""
     if not len(v):
         raise ValueError("lower half-shuffle needs a nonempty right word")
     head = Word(v.letters[:1])
     tail = Word(v.letters[1:])
-    return NCPoly.from_word(head, 1, cap) * shuffle_sum(u, tail, cap)
+    return NCPoly.from_word(head) * shuffle_sum(u, tail)
 
 
 # ---------------------------------------------------------------------------
 # quasi-shuffles (Hoffman recursion)
 
 
-def quasi_shuffle(u: Word, v: Word, alpha: MonoidAlphabet, cap: int | None = None) -> NCPoly:
+def quasi_shuffle(u: Word, v: Word, alpha: MonoidAlphabet) -> NCPoly:
     """(au') qsh (bv') = a(u' qsh bv') + b(au' qsh v') + (a+b)(u' qsh v').
 
     One recursion over the suffixes u[i:], v[j:], each product formed once in
-    the call, as a map word -> integer multiplicity. Words over the cap drop.
+    the call, as a map word -> integer multiplicity.
     """
     us, vs = u.letters, v.letters
     done: dict = {}
@@ -250,8 +245,7 @@ def quasi_shuffle(u: Word, v: Word, alpha: MonoidAlphabet, cap: int | None = Non
         if out is not None:
             return out
         if i == len(us) or j == len(vs):
-            w = us[i:] + vs[j:]  # one of the two is empty
-            out = {w: 1} if cap is None or len(w) <= cap else {}
+            out = {us[i:] + vs[j:]: 1}  # one of the two suffixes is empty
         else:
             a, b = us[i], vs[j]
             out = {}
@@ -262,44 +256,37 @@ def quasi_shuffle(u: Word, v: Word, alpha: MonoidAlphabet, cap: int | None = Non
                 (alpha.combine(a, b), suffixes(i + 1, j + 1)),
             ):
                 for w, c in rest.items():
-                    if cap is None or len(w) < cap:
-                        w = (head, *w)
-                        out[w] = get(w, 0) + c
+                    w = (head, *w)
+                    out[w] = get(w, 0) + c
         done[i, j] = out
         return out
 
-    return NCPoly._of(suffixes(0, 0), 1, cap)
+    return NCPoly._of(suffixes(0, 0), 1, None)
 
 
-def quasi_shuffle_upper(
-    u: Word, v: Word, alpha: MonoidAlphabet, cap: int | None = None
-) -> NCPoly:
+def quasi_shuffle_upper(u: Word, v: Word, alpha: MonoidAlphabet) -> NCPoly:
     """u up v = a (u' qsh v)."""
     if not len(u):
         raise ValueError("upper half needs a nonempty left word")
     tail = Word(u.letters[1:])
-    return NCPoly.from_word(Word(u.letters[:1]), 1, cap) * quasi_shuffle(tail, v, alpha, cap)
+    return NCPoly.from_word(Word(u.letters[:1])) * quasi_shuffle(tail, v, alpha)
 
 
-def quasi_shuffle_lower(
-    u: Word, v: Word, alpha: MonoidAlphabet, cap: int | None = None
-) -> NCPoly:
+def quasi_shuffle_lower(u: Word, v: Word, alpha: MonoidAlphabet) -> NCPoly:
     """u down v = b (u qsh v')."""
     if not len(v):
         raise ValueError("lower half needs a nonempty right word")
     tail = Word(v.letters[1:])
-    return NCPoly.from_word(Word(v.letters[:1]), 1, cap) * quasi_shuffle(u, tail, alpha, cap)
+    return NCPoly.from_word(Word(v.letters[:1])) * quasi_shuffle(u, tail, alpha)
 
 
-def quasi_shuffle_merge(
-    u: Word, v: Word, alpha: MonoidAlphabet, cap: int | None = None
-) -> NCPoly:
+def quasi_shuffle_merge(u: Word, v: Word, alpha: MonoidAlphabet) -> NCPoly:
     """u . v = (a+b)(u' qsh v'): the image of the carrier product on words."""
     if not len(u) or not len(v):
         raise ValueError("merge needs nonempty words")
     merged = Word((alpha.combine(u.letters[0], v.letters[0]),))
     ut, vt = Word(u.letters[1:]), Word(v.letters[1:])
-    return NCPoly.from_word(merged, 1, cap) * quasi_shuffle(ut, vt, alpha, cap)
+    return NCPoly.from_word(merged) * quasi_shuffle(ut, vt, alpha)
 
 
 def bilinear(op, p: NCPoly, q: NCPoly) -> NCPoly:

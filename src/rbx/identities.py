@@ -53,12 +53,10 @@ from .scalars import bernoulli
 from .series import LambdaSeries, series_exp, series_inverse, series_log, series_mul
 
 __all__ = [
-    "FixedPointSolution",
     "MagnusExpansion",
     "BSOperands",
     "solve_fixed_point",
     "solve_fixed_point_series",
-    "atkinson_solutions",
     "atkinson_lemma",
     "check_atkinson",
     "bogoliubov_decompose",
@@ -69,7 +67,6 @@ __all__ = [
     "check_nc_spitzer",
     "cycle_chain_product",
     "check_bohnenblust_spitzer",
-    "bch_series",
     "bch_of_series",
     "flows_product",
     "check_flows_product_law",
@@ -127,25 +124,6 @@ def solve_fixed_point(alg: RBAlgebra, x, side: str = SIDE_LEFT, order: int = 6) 
     return solve_fixed_point_series(alg, _constant_source(alg, x, order), side, order)
 
 
-@dataclass(frozen=True)
-class FixedPointSolution:
-    """Both one-sided fixed points of the same source element."""
-
-    f: LambdaSeries
-    h: LambdaSeries
-    source: object
-    order: int
-
-
-def atkinson_solutions(alg: RBAlgebra, x, order: int) -> FixedPointSolution:
-    return FixedPointSolution(
-        f=solve_fixed_point(alg, x, SIDE_LEFT, order),
-        h=solve_fixed_point(alg, x, SIDE_RIGHT, order),
-        source=x,
-        order=order,
-    )
-
-
 def atkinson_lemma(alg: RBAlgebra, plan: SamplePlan) -> str | None:
     """The first counterexample on plan's pairs to the splitting lemma
     R(a)Rtilde(b) = R(a Rtilde(b)) + Rtilde(R(a) b), or None when it holds."""
@@ -158,28 +136,22 @@ def atkinson_lemma(alg: RBAlgebra, plan: SamplePlan) -> str | None:
     return first_failure(alg.name, plan.pairs(alg), laws, "ab")
 
 
-_UNCHECKED = object()
-
-
-def check_atkinson(
-    alg: RBAlgebra, x, order: int, plan: SamplePlan = SamplePlan("exhaustive"), lemma=_UNCHECKED
-) -> CheckResult:
+def check_atkinson(alg: RBAlgebra, x, order: int, lemma: str | None) -> CheckResult:
     """Factorization fh = 1 - lambda theta fxh, its inverse form, and the
-    splitting lemma on plan's pairs. The lemma does not involve x, so a caller
-    checking several sources passes its `atkinson_lemma(alg, plan)` outcome."""
+    splitting lemma. The lemma does not involve x, so the caller passes its
+    `atkinson_lemma(alg, plan)` outcome, once for all sources."""
     theta = alg.weight
     one_s = LambdaSeries.one(alg, order)
 
     def laws(x):
-        sol = atkinson_solutions(alg, x, order)
+        f = solve_fixed_point(alg, x, SIDE_LEFT, order)
+        h = solve_fixed_point(alg, x, SIDE_RIGHT, order)
         lam_x = LambdaSeries.term(alg, 1, x, order)
-        yield from _grades("fh=1-th*fxh", sol.f * sol.h, one_s - theta * (sol.f * lam_x * sol.h))
-        lhs = series_inverse(sol.f) * series_inverse(sol.h)
+        yield from _grades("fh=1-th*fxh", f * h, one_s - theta * (f * lam_x * h))
+        lhs = series_inverse(f) * series_inverse(h)
         yield from _grades("f^-1h^-1=1+th*x", lhs, one_s + theta * lam_x)
 
-    bad = first_failure(alg.name, [(x,)], laws, "x") or (
-        atkinson_lemma(alg, plan) if lemma is _UNCHECKED else lemma
-    )
+    bad = first_failure(alg.name, [(x,)], laws, "x") or lemma
     return CheckResult.of(f"atkinson/{alg.name}/N={order}", "Eq. (Atkins)", bad)
 
 
@@ -471,46 +443,26 @@ def check_bohnenblust_spitzer(ops: BSOperands, form: str) -> CheckResult:
 # BCH in the carrier and double products
 
 
-def bch_of_series(
-    alg: RBAlgebra, a: LambdaSeries, b: LambdaSeries, product: str = "carrier"
-) -> LambdaSeries:
+def bch_of_series(a: LambdaSeries, b: LambdaSeries, mul=operator.mul) -> LambdaSeries:
     """log(exp(a) exp(b)) for series with zero constant coefficient, as
-    log(1 + A + B + A B) with A = exp(a) - 1 and B = exp(b) - 1."""
-    if product == "carrier":
-        mul = operator.mul
-    elif product == "double":
-        mul = lambda u, v: double_product(alg, u, v)
-    else:
-        raise ValueError(f"unknown product {product!r}")
-    one = LambdaSeries.one(alg, a.order)
+    log(1 + A + B + A B) with A = exp(a) - 1 and B = exp(b) - 1, products
+    taken with the bilinear map mul."""
+    one = LambdaSeries.one(a.carrier, a.order)
     big_a, big_b = series_exp(a, mul) - one, series_exp(b, mul) - one
     return series_log(one + big_a + big_b + series_mul(big_a, big_b, 1, 1, mul), mul)
-
-
-def bch_series(alg: RBAlgebra, a, b, order: int, product: str = "carrier") -> LambdaSeries:
-    return bch_of_series(
-        alg,
-        LambdaSeries.term(alg, 1, a, order),
-        LambdaSeries.term(alg, 1, b, order),
-        product,
-    )
 
 
 # ---------------------------------------------------------------------------
 # the flows composition
 
 
-def flows_product(
-    alg: RBAlgebra, x, y, order: int, omega_y: LambdaSeries | None = None
-) -> LambdaSeries:
+def flows_product(alg: RBAlgebra, x, y, order: int, omega_y: LambdaSeries) -> LambdaSeries:
     """The source z = x # y with solve(z) = solve(x) solve(y).
 
     z = y + exp(-ell_{Omega'(y) |>})(x), returned as a source series whose
-    grade-0 coefficient is x + y. omega_y, when given, is Omega'(y) at any
-    order >= order. Term k of the exponential vanishes below grade k.
+    grade-0 coefficient is x + y. omega_y is Omega'(y) at any order >= order.
+    Term k of the exponential vanishes below grade k.
     """
-    if omega_y is None:
-        omega_y = prelie_magnus(alg, y, order).omega
     omega_y = omega_y.truncate(order)
     act = lambda u, v: prelie_left(alg, u, v)
     term = _constant_source(alg, x, order)
@@ -522,11 +474,11 @@ def flows_product(
 
 
 def check_flows_product_law(
-    alg: RBAlgebra, x, y, order: int, omega_y: LambdaSeries | None = None
+    alg: RBAlgebra, x, y, order: int, omega_y: LambdaSeries
 ) -> CheckResult:
     """solve(x # y) = solve(x) solve(y) coefficientwise.
 
-    omega_y, when given, is Omega'(y) at any order >= order.
+    omega_y is Omega'(y) at any order >= order.
     """
 
     def laws(x, y):
@@ -540,27 +492,19 @@ def check_flows_product_law(
 
 
 def check_flows_bch(
-    alg: RBAlgebra,
-    x,
-    y,
-    order: int,
-    omega_x: LambdaSeries | None = None,
-    omega_y: LambdaSeries | None = None,
+    alg: RBAlgebra, x, y, order: int, omega_x: LambdaSeries, omega_y: LambdaSeries
 ) -> CheckResult:
     """Omega'(x # y) = BCH of Omega'(x), Omega'(y) in the double product.
 
-    omega_x and omega_y, when given, are Omega'(x) and Omega'(y) at any
-    order >= order; their coefficients do not depend on the order.
+    omega_x and omega_y are Omega'(x) and Omega'(y) at any order >= order;
+    their coefficients do not depend on the order.
     """
-    if omega_x is None:
-        omega_x = prelie_magnus(alg, x, order).omega
-    if omega_y is None:
-        omega_y = prelie_magnus(alg, y, order).omega
+    star = lambda u, v: double_product(alg, u, v)
 
     def laws(x, y):
         z = flows_product(alg, x, y, order, omega_y)
         lhs = prelie_magnus_of_series(alg, z, order)
-        rhs = bch_of_series(alg, omega_x.truncate(order), omega_y.truncate(order), "double")
+        rhs = bch_of_series(omega_x.truncate(order), omega_y.truncate(order), star)
         yield from _grades("omega(x#y)=bch", lhs, rhs)
 
     bad = first_failure(alg.name, [(x, y)], laws, "xy")

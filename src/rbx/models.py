@@ -45,7 +45,6 @@ __all__ = [
     "triangular_projection",
     "laurent_pole_projection",
     "standard_sum_operator",
-    "summation_operator",
     "riemann_integral",
     "polynomial_derivative",
     "finite_difference",
@@ -253,12 +252,6 @@ class LaurentElement(SparseCarrier):
                 out[e] = get(e, 0) + c1 * c2
         return self._like(out, self.den * other.den)
 
-    def is_regular(self) -> bool:
-        return all(e >= 0 for e in self.num)
-
-    def is_polar(self) -> bool:
-        return all(e < 0 for e in self.num)
-
     def __str__(self) -> str:
         if not self.num:
             return "0"
@@ -416,11 +409,6 @@ def standard_sum_operator(s: SeqElement) -> SeqElement:
     return SeqElement._window(list(sums))
 
 
-def summation_operator(s: SeqElement) -> SeqElement:
-    """The summation operator on scalar sequences: R(f)(n) = sum_{k<n} f(k)."""
-    return standard_sum_operator(s)
-
-
 def finite_difference(s: SeqElement) -> SeqElement:
     """Forward difference f(n+1) - f(n); the window shrinks by one."""
     num = s.num
@@ -500,7 +488,7 @@ def summation_algebra(window: int = 10) -> RBAlgebra:
         weight=Fraction(1),
         zero=zero,
         one=one,
-        rb=summation_operator,
+        rb=standard_sum_operator,
         commutative=True,
         basis=basis,
         random_element=rand,

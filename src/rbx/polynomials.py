@@ -37,9 +37,6 @@ class Word:
                 raise ValueError(f"letters must be positive integers, got {a!r}")
         self.letters = letters
 
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -48,12 +45,6 @@ class Word:
 
     def __hash__(self) -> int:
         return hash(self.letters)
-
-    def sort_key(self):
-        return (len(self.letters), self.letters)
-
-    def __lt__(self, other: "Word") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
         return _word_str(self.letters)
@@ -139,14 +130,10 @@ class NCPoly(SparseCarrier):
         return cls({Word((a,)): Fraction(1)}, cap)
 
     @classmethod
-    def from_word(cls, w: Word, coeff=1, cap: int | None = None) -> "NCPoly":
-        """coeff * w, for a rational coeff; zero when w is longer than the cap."""
-        if type(coeff) is not int:
-            coeff = Fraction(coeff)
+    def from_word(cls, w: Word) -> "NCPoly":
+        """The word w with coefficient 1, uncapped."""
         key = tuple(sorted(w.letters)) if cls._commutative else w.letters
-        if not coeff or (cap is not None and len(key) > cap):
-            return cls._of({}, 1, cap)
-        return cls._of({key: coeff.numerator}, coeff.denominator, cap)
+        return cls._of({key: 1}, 1, None)
 
     def _match_shape(self, other: "NCPoly") -> None:
         if self.cap != other.cap:
@@ -185,20 +172,6 @@ class NCPoly(SparseCarrier):
                     w = tuple(sorted(w))
                 out[w] = get(w, 0) + cu * cv
         return self._like(out, self.den * other.den)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        acc = type(self).one(self.cap)
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def coefficient(self, w: Word) -> Fraction:
-        return Fraction(self.num.get(w.letters, 0), self.den)
 
     def __str__(self) -> str:
         return _render(self.num, self.den, _word_str)

@@ -2,7 +2,7 @@
 
 The ground field is represented by ``fractions.Fraction``: arbitrary-precision
 numerator over positive denominator, always in lowest terms, so equality is
-canonical-form equality. The alias ``Rational`` names that choice once.
+canonical-form equality.
 
 Carriers store their coefficients more cheaply, as integer numerators over
 one shared positive denominator. The helpers at the end of this module keep
@@ -20,45 +20,24 @@ import math
 import operator
 from fractions import Fraction
 
-__all__ = ["Rational", "BernoulliTable", "bernoulli", "parse_rational"]
-
-Rational = Fraction
+__all__ = ["bernoulli", "parse_rational"]
 
 
-class BernoulliTable:
-    """Table of Bernoulli numbers B_0 .. B_{n_max}.
-
-    Computed from the defining recurrence
+def _bernoulli_table(n_max: int) -> tuple:
+    """B_0 .. B_{n_max} from the defining recurrence
 
         sum_{k=0}^{n} C(n+1, k) * B_k = 0   for n >= 1,
 
     with B_0 = 1. Under this convention B_1 = -1/2 and B_n = 0 for odd n >= 3.
-
-    >>> t = BernoulliTable(4)
-    >>> [t[n] for n in range(5)]
-    [Fraction(1, 1), Fraction(-1, 2), Fraction(1, 6), Fraction(0, 1), Fraction(-1, 30)]
     """
-
-    def __init__(self, n_max: int):
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        values = [Fraction(1)]
-        for n in range(1, n_max + 1):
-            acc = sum(math.comb(n + 1, k) * values[k] for k in range(n))
-            values.append(Fraction(-acc, n + 1))
-        self.n_max = n_max
-        self.values = tuple(values)
-
-    def __getitem__(self, n: int) -> Fraction:
-        if not 0 <= n <= self.n_max:
-            raise IndexError(f"Bernoulli index {n} outside table bound {self.n_max}")
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return self.n_max + 1
+    values = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        acc = sum(math.comb(n + 1, k) * values[k] for k in range(n))
+        values.append(Fraction(-acc, n + 1))
+    return tuple(values)
 
 
-_TABLE = BernoulliTable(32)
+_TABLE = _bernoulli_table(32)
 
 
 def bernoulli(n: int) -> Fraction:
@@ -67,6 +46,8 @@ def bernoulli(n: int) -> Fraction:
     >>> bernoulli(0), bernoulli(1), bernoulli(2)
     (Fraction(1, 1), Fraction(-1, 2), Fraction(1, 6))
     """
+    if not 0 <= n < len(_TABLE):
+        raise IndexError(f"Bernoulli index {n} outside table bound {len(_TABLE) - 1}")
     return _TABLE[n]
 
 

@@ -155,7 +155,7 @@ def check_dendriform(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
     return CheckResult.of(f"dendriform/{alg.name}/{plan.mode}", "Eq. (demishuffleNC)", bad)
 
 
-def check_operator_ybe(alg: RBAlgebra, plan: SamplePlan = SamplePlan("exhaustive")) -> CheckResult:
+def check_operator_ybe(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
     """Operator classical YBE and the pre-Lie nature of the split brackets,
     for the commutator bracket of the algebra's carrier and its operator R,
     which must have weight 0.

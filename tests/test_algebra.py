@@ -31,18 +31,18 @@ from rbx import (
     check_rb_law,
     check_weight_rescale,
     double_product,
-    half_shuffles,
     integration_algebra,
     laurent_algebra,
     matrix_algebra,
     prelie_left,
-    prelie_right,
+    prelie_magnus,
     spitzer_check_commutative,
     summation_algebra,
     tilde_operator,
 )
 from rbx.algebra import CUT, first_failure
 from rbx.cli import SuiteConfig, default_models
+from rbx.identities import atkinson_lemma
 
 EX = SamplePlan("exhaustive")
 M3 = matrix_algebra(3)
@@ -68,27 +68,24 @@ class TestSamplePlan:
     def test_random_is_seeded(self):
         alg = summation_algebra(5)
         plan = SamplePlan("random", trials=7, seed=11)
-        assert plan.singles(alg) == plan.singles(alg)
         assert plan.pairs(alg) == plan.pairs(alg)
+        assert plan.triples(alg) == plan.triples(alg)
 
     def test_a_shared_stream_draws_what_fresh_generators_draw(self):
         # every call order of a plan's and a narrowed plan's samples, on every
         # registry carrier in turn and again after switching back, against a
         # fresh random.Random(seed) per call
         registry = list(default_models(SuiteConfig()).values())
-        arity = {"singles": 1, "pairs": 2, "triples": 3}
+        arity = {"pairs": 2, "triples": 3}
         fresh = {}
         for alg in registry:
             for trials, call in itertools.product((5, 2), arity):
                 rng = random.Random(3)
-                samples = [
+                fresh[alg.name, trials, call] = [
                     tuple(alg.random_element(rng) for _ in range(arity[call]))
                     for _ in range(trials)
                 ]
-                fresh[alg.name, trials, call] = samples if call != "singles" else [
-                    x for x, in samples
-                ]
-        calls = [(0, "singles"), (0, "pairs"), (0, "triples"), (1, "pairs"), (1, "triples")]
+        calls = [(0, "pairs"), (0, "triples"), (1, "pairs"), (1, "triples")]
         for order in itertools.permutations(calls):
             plan = SamplePlan("random", trials=5, seed=3)
             plans = (plan, plan.narrowed(2))
@@ -98,7 +95,8 @@ class TestSamplePlan:
                     assert got == fresh[alg.name, plans[which].trials, call]
         # a plan replaced at another seed shares the stream but not its draws
         alg, rng = registry[0], random.Random(4)
-        assert replace(plan, seed=4).singles(alg) == [alg.random_element(rng) for _ in range(5)]
+        draws = [alg.random_element(rng) for _ in range(10)]
+        assert replace(plan, seed=4).pairs(alg) == list(zip(draws[::2], draws[1::2]))
 
 
 class TestDoubleProduct:
@@ -112,7 +110,7 @@ class TestDoubleProduct:
     def test_half_shuffles_recombine(self):
         for x in M3.basis[:4]:
             for y in M3.basis[:4]:
-                up, down = half_shuffles(M3, x, y)
+                up, down = x * M3.rb(y), M3.rb(x) * y
                 assert up + down + M3.weight * (x * y) == double_product(M3, x, y)
 
     def test_integration_double_product_drops_weight_term(self):
@@ -157,11 +155,6 @@ class TestPreLie:
     def test_hand_value(self):
         # R(E12) E21 - E21 R(E12) + E21 E12 with R the triangular projection
         assert prelie_left(M3, E(1, 2), E(2, 1)) == E(1, 1)
-
-    def test_right_is_the_mirror(self):
-        for x, y in EX.pairs(matrix_algebra(2)):
-            alg = matrix_algebra(2)
-            assert prelie_right(alg, x, y) == -prelie_left(alg, y, x)
 
 
 class TestRescaling:
@@ -251,6 +244,8 @@ _L_X = LambdaSeries(_LAURENT, (_LAURENT.zero, _LAURENT.one, _LAURENT.basis[1]))
 _S5 = _doubled(summation_algebra(5))
 _RNG = random.Random(1)
 _F = tuple(M3.random_element(_RNG) for _ in range(3))
+_D3 = _doubled(M3)
+_omega = lambda x: prelie_magnus(_D3, x, 3).omega
 
 # one row per check family: (label, model name, thunk returning the CheckResult)
 _BROKEN = [
@@ -265,14 +260,16 @@ _BROKEN = [
     ("modified-ybe", "matrix3", lambda: check_modified_ybe(_doubled(M3), _RND)),
     ("aybe", "tensor-cube[2]", lambda: aybe_check(
         TensorR(((RatMatrix.unit(2, 1, 1), RatMatrix.unit(2, 1, 1)),)))),
-    ("atkinson", "matrix3", lambda: check_atkinson(_doubled(M3), _X, 3)),
+    ("atkinson", "matrix3", lambda: check_atkinson(_D3, _X, 3, atkinson_lemma(_D3, EX))),
     ("bogoliubov", "laurent[16,16]", lambda: check_bogoliubov(_LAURENT, _L_X)),
     ("spitzer", "summation[W=5]", lambda: spitzer_check_commutative(_S5, _S5.one, 3)),
     ("nc-spitzer", "matrix3", lambda: check_nc_spitzer(_doubled(M3), _X, 3)),
     ("bohnenblust-spitzer", "matrix3",
      lambda: check_bohnenblust_spitzer(BSOperands(_doubled(M3), _F), "cycles-prelie")),
-    ("flows-product", "matrix3", lambda: check_flows_product_law(_doubled(M3), _X, E(2, 3), 3)),
-    ("flows-bch", "matrix3", lambda: check_flows_bch(_doubled(M3), _X, E(2, 3), 3)),
+    ("flows-product", "matrix3",
+     lambda: check_flows_product_law(_D3, _X, E(2, 3), 3, _omega(E(2, 3)))),
+    ("flows-bch", "matrix3",
+     lambda: check_flows_bch(_D3, _X, E(2, 3), 3, _omega(_X), _omega(E(2, 3)))),
 ]
 
 

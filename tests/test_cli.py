@@ -269,6 +269,29 @@ class TestMain:
         assert captured.err.startswith("error:")
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_exit_two_on_weight_zero(self, source, tmp_path, capsys):
+        # weight 0 rescales every operator to the zero map, so a broken
+        # operator would pass every law
+        m3 = matrix_algebra(3)
+        doubled = {"matrix": replace(m3, rb=lambda m: 2 * m3.rb(m))}
+        argv = ["verify", "--suite", "rb-laws", "--model", "matrix"] + FAST
+        assert main(argv, models=doubled) == 1
+        if source == "flag":
+            argv.append("--weight=0")
+        else:
+            path = tmp_path / "zero.conf"
+            path.write_text("weight = 0/3\n")
+            argv += ["--config", str(path)]
+        capsys.readouterr()
+        for suite in ("rb-laws", "bohnenblust-spitzer"):
+            argv[2] = suite
+            rc = main(argv, models=doubled)
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.err.startswith("error: --weight 0 ")
+            assert captured.out == ""
+
     def test_exit_two_on_an_empty_exhaustive_sample(self, capsys):
         # a carrier without a basis would PASS the exhaustive laws unchecked
         m2 = matrix_algebra(2)

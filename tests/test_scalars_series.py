@@ -31,6 +31,10 @@ def test_bernoulli_table():
         assert bernoulli(n) == value
     for n in (3, 5, 7, 9, 11):
         assert bernoulli(n) == 0
+    assert bernoulli(32) == Fraction(-7709321041217, 510)
+    for n in (-1, 33):
+        with pytest.raises(IndexError):
+            bernoulli(n)
 
 
 def test_parse_rational():
