@@ -268,8 +268,16 @@ _ALL = tuple(_MODELS)  # every carrier
 
 
 def default_models(cfg: SuiteConfig) -> dict:
-    """Instantiate every carrier, sized so suite internals cannot overflow."""
-    return {key: model.make(cfg) for key, model in _MODELS.items()}
+    """Instantiate every carrier, sized so suite internals cannot overflow.
+
+    Keys whose carriers coincide share one (at --dim 2, "matrix" is "matrix2"),
+    so that a suite runs it once.
+    """
+    registry, by_name = {}, {}
+    for key, model in _MODELS.items():
+        alg = model.make(cfg)
+        registry[key] = by_name.setdefault(alg.name, alg)
+    return registry
 
 
 def _sources(cfg: SuiteConfig, key: str, alg, count: int) -> list:
@@ -313,7 +321,10 @@ def _select(cfg: SuiteConfig, registry: dict, suite: str) -> list:
                 f"suite {suite} does not take --model {cfg.model} (it takes: {takes})"
             )
         keys = [key for key, pick in zip(keys, picks) if pick == cfg.model]
-    picked = [(key, registry[key]) for key in keys]
+    picked = []
+    for key in keys:
+        if all(registry[key] is not alg for _, alg in picked):  # two keys, one carrier
+            picked.append((key, registry[key]))
     if cfg.weight is None:
         return picked
     if not any_weight:

@@ -17,6 +17,7 @@ sized per computation so nothing that could multiply back down is ever lost.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -121,17 +122,37 @@ class RatMatrix(DenseCarrier):
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         self._match(other)
         n = self.dim
-        a, b = self.num, other.num
-        cols = [b[j::n] for j in range(n)]
-        rows = range(0, n * n, max(n, 1))
-        out = [sum(map(operator.mul, a[i : i + n], col)) for i in rows for col in cols]
-        return RatMatrix._of(n, out, self.den * other.den)
+        return RatMatrix._of(n, _product_kernel(n)(self.num, other.num), self.den * other.den)
 
     def __str__(self) -> str:
         rows = ("[" + ", ".join(str(v) for v in row) + "]" for row in self.rows)
         return "[" + ", ".join(rows) + "]"
 
     __repr__ = __str__
+
+
+@functools.cache
+def _product_kernel(n: int):
+    """The product of two n x n row-major numerator tuples, as generated code.
+
+    The code unpacks b into n * n locals once and loops over the rows of a;
+    the loop body writes out the n entries of one output row as sums of
+    products. So it holds n * n terms, not n ** 3, and one code path serves
+    every n, 0 included.
+    """
+    row = "".join("+".join(f"x{k}*b{k * n + j}" for k in range(n)) + ", " for j in range(n))
+    source = (
+        "def product(a, b):\n"
+        f"    [{', '.join(f'b{k}' for k in range(n * n))}] = b\n"
+        "    rows = iter(a)\n"
+        "    out = ()\n"
+        f"    for [{', '.join(f'x{k}' for k in range(n))}] in zip({', '.join(['rows'] * n)}):\n"
+        f"        out += ({row})\n"
+        "    return out\n"
+    )
+    namespace = {}
+    exec(compile(source, f"<RatMatrix product, n={n}>", "exec"), namespace)
+    return namespace["product"]
 
 
 def triangular_projection(m: RatMatrix) -> RatMatrix:

@@ -17,6 +17,7 @@ from rbx import (
     SuiteConfig,
     main,
     matrix_algebra,
+    models,
     noncommutative_standard_algebra,
     parse_config,
     run_suite,
@@ -214,6 +215,28 @@ class TestRunSuite:
         assert rc == 0
         checks = [c["name"] for c in json.loads(out)["checks"]]
         assert checks and not [name for name in checks if "integration" in name]
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_every_dim_runs_each_carrier_once(self, dim, capsys, monkeypatch):
+        built = set()
+        kernel = models._product_kernel
+        monkeypatch.setattr(models, "_product_kernel", lambda n: built.add(n) or kernel(n))
+        argv = ["verify", "--suite", "all", "--dim", str(dim), "--trials", "3", "--order", "3"]
+        rc = main(argv + ["--bs-arity", "3", "--format", "json"])
+        names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        assert rc == 0
+        assert len(names) == len(set(names))
+        assert f"rb-law/matrix{dim}/exhaustive" in names and "rb-law/matrix2/exhaustive" in names
+        # the 2 x 2 carrier, the --dim one and the tensor cube of a 2 x 2 r-matrix;
+        # tests/test_kernels.py checks the product at each of these sizes and at 0
+        assert built == {2, dim, 8}
+
+    @pytest.mark.parametrize("key", ["matrix", "matrix2"])
+    def test_a_carrier_given_for_either_key_runs_at_dim_2(self, key, capsys):
+        m2 = matrix_algebra(2)
+        doubled = replace(m2, rb=lambda m: 2 * m2.rb(m))
+        argv = ["verify", "--suite", "rb-laws", "--model", "matrix", "--dim", "2"] + FAST
+        assert main(argv, models={key: doubled}) == 1
 
     def test_deterministic_modulo_elapsed(self):
         cfg = SuiteConfig(suite="quasi-shuffle", trials=5)

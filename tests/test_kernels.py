@@ -268,6 +268,38 @@ def test_summation_window_with_mixed_denominators():
 
 
 # ---------------------------------------------------------------------------
+# the generated matrix product kernel: at 1, at every size the CLI multiplies
+# (2 to 4, and 8 for the tensor cube of a 2 x 2 r-matrix), and at 0 below
+
+PRODUCT_DIMS = (1, 2, 3, 4, 8)
+
+
+def _matrix_rows(rng, n):
+    """Entries over denominators 1..6, and about one row in four all zero."""
+    entry = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return [[0] * n if rng.random() < 0.25 else [entry() for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", PRODUCT_DIMS)
+def test_matrix_product_at_every_kernel_size(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        a, b = _matrix_rows(rng, n), _matrix_rows(rng, n)
+        for x, y in ((a, b), (b, a), (a, a)):
+            fast = RatMatrix(x) * RatMatrix(y)
+            _agree(Matrix, fast, ref.RatMatrix(x) * ref.RatMatrix(y))
+            assert Matrix.canonical(fast) and fast.dim == n
+
+
+def test_empty_matrix_product():
+    fast = RatMatrix.zeros(0) * RatMatrix.identity(0)
+    _agree(Matrix, fast, ref.RatMatrix.zeros(0) * ref.RatMatrix.identity(0))
+    assert (fast.dim, fast.num, fast.den, str(fast)) == (0, (), 1, "[]")
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        RatMatrix.zeros(0) * RatMatrix.zeros(1)
+
+
+# ---------------------------------------------------------------------------
 # the short-cuts of the polynomial kernels, one by one and inside windows
 
 POLY_KINDS = ["ncpoly", "ncpoly-capped", "cpoly", "cpoly-capped"]
