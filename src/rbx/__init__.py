@@ -41,7 +41,6 @@ from .combinat import (
 )
 from .errors import ConfigError
 from .identities import (
-    BSOperands,
     MagnusExpansion,
     bogoliubov_decompose,
     check_atkinson,
@@ -110,7 +109,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BSOperands",
     "CPoly",
     "CheckResult",
     "ConfigError",

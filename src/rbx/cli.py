@@ -53,7 +53,6 @@ from .combinat import (
 )
 from .errors import ConfigError
 from .identities import (
-    BSOperands,
     atkinson_lemma,
     bogoliubov_decompose,
     check_atkinson,
@@ -128,8 +127,8 @@ class SuiteConfig:
             raise ConfigError(f"dim must be in 2..4, got {self.dim}")
         if not 1 <= self.alphabet <= 9:
             raise ConfigError(f"alphabet size must be in 1..9, got {self.alphabet}")
-        if not 1 <= self.bs_arity <= 6:
-            raise ConfigError(f"bs-arity must be in 1..6, got {self.bs_arity}")
+        if not 2 <= self.bs_arity <= 6:
+            raise ConfigError(f"bs-arity must be in 2..6, got {self.bs_arity}")
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
         if self.weight == 0:
@@ -174,7 +173,7 @@ def _read_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -579,19 +578,16 @@ def _suite_magnus(cfg: SuiteConfig, registry: dict, picked: list) -> list:
 def _suite_bohnenblust_spitzer(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     checks = []
     for key, alg in picked:
-        runs = []
-        if alg.commutative and alg.weight != 0:
-            runs.append((alg, "commutative-partitions"))
-        if alg.weight == 0:
-            runs.append((alg, "weight-zero"))
-        runs.append((alg, "cycles-prelie"))
+        targets = [alg]
         if key == "standard-nc" and cfg.weight is None:
-            runs.append((alg.rescaled(Fraction(2, 3) / alg.weight), "cycles-prelie"))
-        for target, form in runs:
-            rng = random.Random(cfg.seed)
-            for n in range(2, max(2, cfg.bs_arity) + 1):
-                ops = tuple(_MODELS[key].operand(target, rng) for _ in range(n))
-                checks.append(check_bohnenblust_spitzer(BSOperands(target, ops), form))
+            targets.append(alg.rescaled(Fraction(2, 3) / alg.weight))
+        for target in targets:
+            rng, operand = random.Random(cfg.seed), _MODELS[key].operand
+            by_arity = [
+                check_bohnenblust_spitzer(target, tuple(operand(target, rng) for _ in range(n)))
+                for n in range(2, cfg.bs_arity + 1)
+            ]
+            checks += itertools.chain.from_iterable(zip(*by_arity))  # each form over all arities
     return checks
 
 

@@ -209,22 +209,23 @@ def is_shuffle_of(w: Word, u: Word, v: Word) -> bool:
     return w in shuffle(u, v)
 
 
+def _prefixed(a: int, p: NCPoly) -> NCPoly:
+    """The letter a put in front of every word of p."""
+    return NCPoly.from_word(Word((a,))) * p
+
+
 def shuffle_upper(u: Word, v: Word) -> NCPoly:
     """u up v = a (u' sh v) for u = au'; undefined for empty u."""
     if not len(u):
         raise ValueError("upper half-shuffle needs a nonempty left word")
-    head = Word(u.letters[:1])
-    tail = Word(u.letters[1:])
-    return NCPoly.from_word(head) * shuffle_sum(tail, v)
+    return _prefixed(u.letters[0], shuffle_sum(Word(u.letters[1:]), v))
 
 
 def shuffle_lower(u: Word, v: Word) -> NCPoly:
     """u down v = b (u sh v') for v = bv'; undefined for empty v."""
     if not len(v):
         raise ValueError("lower half-shuffle needs a nonempty right word")
-    head = Word(v.letters[:1])
-    tail = Word(v.letters[1:])
-    return NCPoly.from_word(head) * shuffle_sum(u, tail)
+    return _prefixed(v.letters[0], shuffle_sum(u, Word(v.letters[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -268,25 +269,22 @@ def quasi_shuffle_upper(u: Word, v: Word, alpha: MonoidAlphabet) -> NCPoly:
     """u up v = a (u' qsh v)."""
     if not len(u):
         raise ValueError("upper half needs a nonempty left word")
-    tail = Word(u.letters[1:])
-    return NCPoly.from_word(Word(u.letters[:1])) * quasi_shuffle(tail, v, alpha)
+    return _prefixed(u.letters[0], quasi_shuffle(Word(u.letters[1:]), v, alpha))
 
 
 def quasi_shuffle_lower(u: Word, v: Word, alpha: MonoidAlphabet) -> NCPoly:
     """u down v = b (u qsh v')."""
     if not len(v):
         raise ValueError("lower half needs a nonempty right word")
-    tail = Word(v.letters[1:])
-    return NCPoly.from_word(Word(v.letters[:1])) * quasi_shuffle(u, tail, alpha)
+    return _prefixed(v.letters[0], quasi_shuffle(u, Word(v.letters[1:]), alpha))
 
 
 def quasi_shuffle_merge(u: Word, v: Word, alpha: MonoidAlphabet) -> NCPoly:
     """u . v = (a+b)(u' qsh v'): the image of the carrier product on words."""
     if not len(u) or not len(v):
         raise ValueError("merge needs nonempty words")
-    merged = Word((alpha.combine(u.letters[0], v.letters[0]),))
-    ut, vt = Word(u.letters[1:]), Word(v.letters[1:])
-    return NCPoly.from_word(merged) * quasi_shuffle(ut, vt, alpha)
+    merged = alpha.combine(u.letters[0], v.letters[0])
+    return _prefixed(merged, quasi_shuffle(Word(u.letters[1:]), Word(v.letters[1:]), alpha))
 
 
 def bilinear(op, p: NCPoly, q: NCPoly) -> NCPoly:

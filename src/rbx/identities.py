@@ -25,7 +25,8 @@ Conventions fixed here once:
 * BCH in either product is log(1 + A + B + A B) with A = exp(a) - 1 and
   B = exp(b) - 1. The double product has no unit: the grade-0 one of these
   series is a formal marker that no product reads.
-* the partitions closed form carries (-theta)^{n - |pi|}. The n = 2 case
+* Bohnenblust-Spitzer checks each closed form the carrier admits against one
+  left side. The partitions form carries (-theta)^{n - |pi|}: the n = 2 case
   F1 * F2 - theta F2 F1 = R(F1)F2 + R(F2)F1 forces the sign.
 """
 
@@ -54,7 +55,6 @@ from .series import LambdaSeries, series_exp, series_inverse, series_log, series
 
 __all__ = [
     "MagnusExpansion",
-    "BSOperands",
     "solve_fixed_point",
     "solve_fixed_point_series",
     "atkinson_lemma",
@@ -81,13 +81,6 @@ def _constant_source(alg: RBAlgebra, x, order: int) -> LambdaSeries:
     return LambdaSeries.term(alg, 0, x, order)
 
 
-def _pow(x, n: int):
-    out = x
-    for _ in range(n - 1):
-        out = out * x
-    return out
-
-
 def _grades(law: str, a: LambdaSeries, b: LambdaSeries):
     """The law grade by grade, over the grades both series carry."""
     for k in range(min(a.order, b.order) + 1):
@@ -99,29 +92,23 @@ def _grades(law: str, a: LambdaSeries, b: LambdaSeries):
 
 
 def solve_fixed_point_series(
-    alg: RBAlgebra, z: LambdaSeries, side: str = SIDE_LEFT, order: int | None = None
+    alg: RBAlgebra, z: LambdaSeries, side: str = SIDE_LEFT
 ) -> LambdaSeries:
-    """Solve l = 1 + lambda R(l z) (left-R) or h = 1 + lambda Rtilde(z h)."""
-    n_max = z.order if order is None else order
+    """Solve l = 1 + lambda R(l z) (left-R) or h = 1 + lambda Rtilde(z h), to z's order."""
+    if side not in (SIDE_LEFT, SIDE_RIGHT):
+        raise ValueError(f"unknown side {side!r}")
     coeffs = [alg.one]
-    for n in range(1, n_max + 1):
+    for n in range(1, z.order + 1):
         w = alg.zero
         for i in range(n):  # grade of the solution factor
-            j = n - 1 - i
-            if j > z.order:
-                continue
-            if side == SIDE_LEFT:
-                w = w + coeffs[i] * z.coefficient(j)
-            elif side == SIDE_RIGHT:
-                w = w + z.coefficient(j) * coeffs[i]
-            else:
-                raise ValueError(f"unknown side {side!r}")
+            zj = z.coefficient(n - 1 - i)
+            w = w + (coeffs[i] * zj if side == SIDE_LEFT else zj * coeffs[i])
         coeffs.append(alg.rb(w) if side == SIDE_LEFT else tilde_operator(alg, w))
     return LambdaSeries(alg, tuple(coeffs))
 
 
 def solve_fixed_point(alg: RBAlgebra, x, side: str = SIDE_LEFT, order: int = 6) -> LambdaSeries:
-    return solve_fixed_point_series(alg, _constant_source(alg, x, order), side, order)
+    return solve_fixed_point_series(alg, _constant_source(alg, x, order), side)
 
 
 def atkinson_lemma(alg: RBAlgebra, plan: SamplePlan) -> str | None:
@@ -248,7 +235,7 @@ def _log_closed_form(alg: RBAlgebra, x, order: int) -> LambdaSeries:
     coeffs = [alg.zero]
     for n in range(1, order + 1):
         c = Fraction((-1) ** (n - 1), n) * alg.weight ** (n - 1)
-        coeffs.append(c * _pow(x, n) if c else alg.zero)
+        coeffs.append(c * x ** n if c else alg.zero)
     return LambdaSeries(alg, tuple(coeffs))
 
 
@@ -286,31 +273,12 @@ def check_nc_spitzer(alg: RBAlgebra, x, order: int) -> CheckResult:
 # Bohnenblust-Spitzer
 
 
-@dataclass(frozen=True)
-class BSOperands:
-    alg: RBAlgebra
-    operands: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "operands", tuple(self.operands))
-        if not 1 <= len(self.operands) <= 6:
-            raise ConfigError(f"operand count {len(self.operands)} outside 1..6")
-
-    @property
-    def n(self) -> int:
-        return len(self.operands)
-
-    def at(self, i: int):
-        """1-based access, matching permutation indices."""
-        return self.operands[i - 1]
-
-
 def _members(s: int, n: int) -> list:
     """The 0-based indices in the bitmask s."""
     return [i for i in range(n) if s >> i & 1]
 
 
-def _nested_lhs(ops: BSOperands) -> object:
+def _nested_lhs(alg: RBAlgebra, fs: tuple) -> object:
     """sum over sigma of R(...R(R(F_s1)F_s2)...)F_sn, last factor outside.
 
     R is linear, so the permutations group by their last factor: with
@@ -319,10 +287,11 @@ def _nested_lhs(ops: BSOperands) -> object:
     taken in increasing order, so S - i comes before S, and R(T(S)) is formed
     once for each proper subset S.
     """
-    alg, fs, full = ops.alg, ops.operands, (1 << ops.n) - 1
+    n = len(fs)
+    full = (1 << n) - 1
     r_of = {}
     for s in range(1, full + 1):
-        members = _members(s, ops.n)
+        members = _members(s, n)
         if len(members) == 1:
             t = fs[members[0]]
         else:
@@ -332,8 +301,8 @@ def _nested_lhs(ops: BSOperands) -> object:
         r_of[s] = alg.rb(t)
 
 
-def _cycles_prelie_rhs(ops: BSOperands) -> object:
-    """sum over sigma of cycle_chain_product(ops, sigma, "prelie").
+def _cycles_prelie_rhs(alg: RBAlgebra, fs: tuple) -> object:
+    """sum over sigma of cycle_chain_product(alg, fs, sigma, "prelie").
 
     The products are bilinear, so the sum regroups over subsets. Canonical
     cycles fold in increasing order of their maxima, so the cycle through
@@ -344,7 +313,7 @@ def _cycles_prelie_rhs(ops: BSOperands) -> object:
     its first argument. The recursion reaches only {1..n} and the subsets of
     {1..n-1}.
     """
-    alg, fs, n = ops.alg, ops.operands, ops.n
+    n = len(fs)
     chains = []
     for top in range(n):
         chain = [fs[top]]
@@ -365,7 +334,32 @@ def _cycles_prelie_rhs(ops: BSOperands) -> object:
     return rhs[(1 << n) - 1]
 
 
-def cycle_chain_product(ops: BSOperands, sigma: Permutation, variant: str):
+def _partitions_rhs(alg: RBAlgebra, fs: tuple) -> object:
+    """sum over set partitions pi of (-theta)^(n - |pi|) times the left fold,
+    in the double product, of (|B| - 1)! prod F_B over the blocks B of pi.
+
+    In sorted order, partitions that share their first blocks are adjacent,
+    so only the fold path of the previous one is kept: the (block, fold up
+    to it) pairs, and each prefix is folded once.
+    """
+    n = len(fs)
+    rhs = alg.zero
+    path = []
+    for part in sorted(set_partitions(n), key=lambda p: p.blocks):
+        blocks = part.blocks
+        keep = 0
+        while keep < len(path) and keep < len(blocks) and path[keep][0] == blocks[keep]:
+            keep += 1
+        del path[keep:]
+        for block in blocks[keep:]:
+            prod = functools.reduce(operator.mul, (fs[j - 1] for j in block))
+            value = math.factorial(len(block) - 1) * prod
+            path.append((block, double_product(alg, path[-1][1], value) if path else value))
+        rhs = rhs + (-alg.weight) ** (n - part.block_count) * path[-1][1]
+    return rhs
+
+
+def cycle_chain_product(alg: RBAlgebra, fs: tuple, sigma: Permutation, variant: str):
     """One permutation's contribution to the closed-form right-hand side.
 
     This is the one-permutation form: the cycles-prelie check sums the same
@@ -377,66 +371,47 @@ def cycle_chain_product(ops: BSOperands, sigma: Permutation, variant: str):
     multiplies by theta F_{a_i}, the prelie variant applies y -> y |> F_{a_i}.
     Cycle values are folded with the double product in canonical order.
     """
-    if sigma.size != ops.n:
-        raise ValueError(f"permutation degree {sigma.size} != operand count {ops.n}")
-    alg = ops.alg
+    if sigma.size != len(fs):
+        raise ValueError(f"permutation degree {sigma.size} != operand count {len(fs)}")
     values = []
     for cycle in canonical_cycles(sigma).cycles:
-        acc = ops.at(cycle[0])
+        acc = fs[cycle[0] - 1]
         for a in cycle[1:]:
             if variant == "associative":
-                acc = alg.weight * (acc * ops.at(a))
+                acc = alg.weight * (acc * fs[a - 1])
             elif variant == "prelie":
-                acc = prelie_left(alg, acc, ops.at(a))
+                acc = prelie_left(alg, acc, fs[a - 1])
             else:
                 raise ValueError(f"unknown variant {variant!r}")
         values.append(acc)
     return functools.reduce(lambda u, v: double_product(alg, u, v), values)
 
 
-def check_bohnenblust_spitzer(ops: BSOperands, form: str) -> CheckResult:
-    alg = ops.alg
-    name = f"bohnenblust-spitzer/{alg.name}/n={ops.n}/{form}"
-    theta = alg.weight
-    star = lambda u, v: double_product(alg, u, v)
+def check_bohnenblust_spitzer(alg: RBAlgebra, operands: tuple) -> list:
+    """Both sides of the Bohnenblust-Spitzer identity for F_1 .. F_n, 1 <= n <= 6:
+    one CheckResult per closed form the carrier admits, in report order.
 
-    if form == "commutative-partitions":
-        anchor = "Eq. (clBSp)"
-        if not alg.commutative:
-            raise ConfigError("partitions form needs a commutative carrier")
-        # Each term is the left fold of its blocks in the double product.
-        # In sorted order, partitions that share their first blocks are
-        # adjacent, so only the fold path of the previous one is kept: the
-        # (block, fold up to it) pairs, and each prefix is folded once.
-        rhs = alg.zero
-        path = []
-        for part in sorted(set_partitions(ops.n), key=lambda p: p.blocks):
-            blocks = part.blocks
-            keep = 0
-            while keep < len(path) and keep < len(blocks) and path[keep][0] == blocks[keep]:
-                keep += 1
-            del path[keep:]
-            for block in blocks[keep:]:
-                prod = functools.reduce(lambda u, v: u * v, (ops.at(j) for j in block))
-                value = math.factorial(len(block) - 1) * prod
-                path.append((block, star(path[-1][1], value) if path else value))
-            rhs = rhs + (-theta) ** (ops.n - part.block_count) * path[-1][1]
-    elif form == "cycles-prelie":
-        anchor = "Eq. (clBSpPerm)"
-        rhs = _cycles_prelie_rhs(ops)
-    elif form == "weight-zero":
-        anchor = "Eq. (clBSp)"
-        if theta != 0:
-            raise ConfigError("weight-zero form needs weight 0")
-        if not alg.commutative:
-            raise ConfigError("weight-zero form needs a commutative carrier")
-        rhs = functools.reduce(star, ops.operands)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-
-    names = [f"F{i}" for i in range(1, ops.n + 1)]
-    laws = lambda *_: [(form, _nested_lhs(ops), rhs)]
-    return CheckResult.of(name, anchor, first_failure(alg.name, [ops.operands], laws, names))
+    A commutative carrier gets commutative-partitions, or weight-zero (the
+    n-fold double product) at weight 0, both Eq. (clBSp); every carrier gets
+    cycles-prelie, Eq. (clBSpPerm). The left side is formed once for all.
+    """
+    n = len(operands)
+    if not 1 <= n <= 6:
+        raise ConfigError(f"operand count {n} outside 1..6")
+    forms = []
+    if alg.commutative and alg.weight != 0:
+        forms.append(("commutative-partitions", "Eq. (clBSp)", _partitions_rhs(alg, operands)))
+    elif alg.commutative:
+        star = lambda u, v: double_product(alg, u, v)
+        forms.append(("weight-zero", "Eq. (clBSp)", functools.reduce(star, operands)))
+    forms.append(("cycles-prelie", "Eq. (clBSpPerm)", _cycles_prelie_rhs(alg, operands)))
+    lhs = _nested_lhs(alg, operands)
+    names = [f"F{i}" for i in range(1, n + 1)]
+    checks = []
+    for form, anchor, rhs in forms:
+        bad = first_failure(alg.name, [operands], lambda *_: [(form, lhs, rhs)], names)
+        checks.append(CheckResult.of(f"bohnenblust-spitzer/{alg.name}/n={n}/{form}", anchor, bad))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +458,7 @@ def check_flows_product_law(
 
     def laws(x, y):
         z = flows_product(alg, x, y, order, omega_y)
-        lhs = solve_fixed_point_series(alg, z, SIDE_LEFT, order)
+        lhs = solve_fixed_point_series(alg, z)
         fx = solve_fixed_point(alg, x, SIDE_LEFT, order)
         yield from _grades("solve(x#y)=fh", lhs, fx * solve_fixed_point(alg, y, SIDE_LEFT, order))
 

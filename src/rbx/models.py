@@ -13,6 +13,7 @@ identity verified entrywise on a window of length W is exact there. Laurent
 arithmetic refuses to truncate poles (exponents below the pole bound raise),
 while exponents above the regular truncation bound are dropped; the bound is
 sized per computation so nothing that could multiply back down is ever lost.
+Laurent elements and polynomial functions print through one term renderer.
 """
 
 from __future__ import annotations
@@ -185,6 +186,21 @@ def matrix_algebra(dim: int = 3) -> RBAlgebra:
     )
 
 
+def _render(terms, den: int, var: str) -> str:
+    """The (e, numerator) pairs, in order, as ``c var^e + ...``; "0" if all are 0."""
+    parts = []
+    for e, n in terms:
+        if not n:
+            continue
+        c = Fraction(n, den)
+        if e == 0:
+            parts.append(str(c))
+        else:
+            base = var if e == 1 else f"{var}^{e}"
+            parts.append(base if c == 1 else f"{c} {base}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
 # ---------------------------------------------------------------------------
 # truncated Laurent elements
 
@@ -274,17 +290,7 @@ class LaurentElement(SparseCarrier):
         return self._like(out, self.den * other.den)
 
     def __str__(self) -> str:
-        if not self.num:
-            return "0"
-        parts = []
-        for e in sorted(self.num):
-            c = Fraction(self.num[e], self.den)
-            if e == 0:
-                parts.append(str(c))
-            else:
-                base = "eps" if e == 1 else f"eps^{e}"
-                parts.append(base if c == 1 else f"{c} {base}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _render(sorted(self.num.items()), self.den, "eps")
 
     __repr__ = __str__
 
@@ -294,11 +300,9 @@ def laurent_pole_projection(x: LaurentElement) -> LaurentElement:
     return x._like({e: c for e, c in x.num.items() if e < 0}, x.den)
 
 
-def laurent_algebra(
-    pole_bound: int = 4, trunc: int = 6, basis_exponents=range(-2, 4)
-) -> RBAlgebra:
-    basis = tuple(LaurentElement({e: 1}, pole_bound, trunc) for e in basis_exponents)
-    exps = list(basis_exponents)
+def laurent_algebra(pole_bound: int = 4, trunc: int = 6) -> RBAlgebra:
+    exps = range(-2, 4)  # the basis, and the exponents a random element draws
+    basis = tuple(LaurentElement({e: 1}, pole_bound, trunc) for e in exps)
     zero = LaurentElement({}, pole_bound, trunc)
 
     def rand(rng: random.Random) -> LaurentElement:
@@ -399,16 +403,6 @@ class SeqElement(DenseCarrier):
             return self._like(list(map(operator.mul, a, b)), self.den * other.den)
         return SeqElement._window(list(map(NCPoly._times, a, b)))
 
-    def __pow__(self, n: int) -> "SeqElement":
-        if n < 0:
-            raise ValueError("negative power")
-        out = self
-        if n == 0:
-            raise ValueError("need the ambient unit for power 0")
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
     __hash__ = None
 
     def __str__(self) -> str:
@@ -438,7 +432,8 @@ def finite_difference(s: SeqElement) -> SeqElement:
     return s._like(list(map(operator.sub, num[1:], num[:-1])), s.den)
 
 
-def _standard_algebra(window: int, cap: int, poly, kind: str) -> RBAlgebra:
+def _standard_algebra(window: int, cap: int, poly) -> RBAlgebra:
+    kind = "comm" if poly is CPoly else "nc"
     unit, nil = poly.one(cap), poly.zero(cap)
     one = SeqElement([unit] * window)
     zero = SeqElement([nil] * window)
@@ -474,11 +469,11 @@ def _standard_algebra(window: int, cap: int, poly, kind: str) -> RBAlgebra:
 
 
 def commutative_standard_algebra(window: int = 10, cap: int = 8) -> RBAlgebra:
-    return _standard_algebra(window, cap, CPoly, "comm")
+    return _standard_algebra(window, cap, CPoly)
 
 
 def noncommutative_standard_algebra(window: int = 10, cap: int = 8) -> RBAlgebra:
-    return _standard_algebra(window, cap, NCPoly, "nc")
+    return _standard_algebra(window, cap, NCPoly)
 
 
 def standard_generator(window: int = 10, cap: int = 8, kind: str = "comm") -> SeqElement:
@@ -586,19 +581,7 @@ class PolyFunction(DenseCarrier):
         return self._like(out, self.den * other.den)
 
     def __str__(self) -> str:
-        if not self.num:
-            return "0"
-        parts = []
-        for n in range(len(self.num) - 1, -1, -1):
-            if self.num[n] == 0:
-                continue
-            c = Fraction(self.num[n], self.den)
-            if n == 0:
-                parts.append(str(c))
-            else:
-                base = "t" if n == 1 else f"t^{n}"
-                parts.append(base if c == 1 else f"{c} {base}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _render(list(enumerate(self.num))[::-1], self.den, "t")
 
     __repr__ = __str__
 

@@ -140,9 +140,9 @@ def _over_lcm(da: int, db: int) -> tuple:
 
 
 class _Carrier:
-    """What both carrier bases share: the operand check, equality, and ``+``,
+    """What both carrier bases share: the operand check, equality, ``+``,
     ``-`` and scalar ``*``, which check their operand once and then run the
-    trusted kernels ``_plus`` and ``_scaled``."""
+    trusted kernels ``_plus`` and ``_scaled``, and powers by repeated ``*``."""
 
     __slots__ = ("num", "den")
 
@@ -164,6 +164,15 @@ class _Carrier:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return self._scaled(scalar.numerator, scalar.denominator)
+
+    def __pow__(self, n: int):
+        """The product of n factors self, for n >= 1: a carrier need not hold its unit."""
+        if n < 1:
+            raise ValueError(f"power {n}: only n >= 1 is defined without the ambient unit")
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

@@ -10,6 +10,8 @@ carrier's metrics read 0. These tests install the tracer, run a suite through
 import importlib.util
 import os
 
+import pytest
+
 from rbx import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -58,3 +60,23 @@ def test_every_carrier_layer_is_counted(tmp_path):
              for op in ("add", "mul", "R")]
     names.append("scalars.lowest_terms_calls")
     assert [name for name in names if not metrics[name] > 0] == []
+
+
+# the word-layer metrics each suite reaches: the shuffle suite never forms a
+# quasi-shuffle, while the quasi-shuffle suite checks its merge-free
+# recursion against the plain shuffle
+WORD_LAYER = {
+    "shuffle": ("polynomials.ncpoly.mul_calls", "combinat.shuffle_s"),
+    "quasi-shuffle": ("polynomials.ncpoly.mul_calls", "combinat.shuffle_s",
+                      "combinat.quasi_shuffle_s"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(WORD_LAYER))
+def test_word_layer_metrics_do_not_read_zero(suite, tmp_path):
+    tracer = _load_tracer().Tracer()
+    argv = ["verify", "--suite", suite, "--format", "json",
+            "--output", str(tmp_path / "report.json")]
+    assert _traced_run(tracer, argv) == 0
+    metrics = tracer.metrics()
+    assert [name for name in WORD_LAYER[suite] if not metrics[name] > 0] == []

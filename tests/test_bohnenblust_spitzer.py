@@ -17,7 +17,7 @@ import pytest
 
 import reference_bs as ref
 from rbx import cli, identities
-from rbx.identities import BSOperands, check_bohnenblust_spitzer
+from rbx.identities import check_bohnenblust_spitzer
 from rbx.models import triangular_projection
 
 REGISTRY = cli.default_models(cli.SuiteConfig())
@@ -40,7 +40,7 @@ CASES = {
 
 def _operands(key, alg, n, seed=42):
     rng = random.Random(seed)
-    return BSOperands(alg, tuple(cli._MODELS[key].operand(alg, rng) for _ in range(n)))
+    return tuple(cli._MODELS[key].operand(alg, rng) for _ in range(n))
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -48,9 +48,9 @@ def test_subset_sums_match_the_permutation_sums(case):
     key, alg, rota_baxter = CASES[case]
     for n in range(1, 7):
         ops = _operands(key, alg, n)
-        lhs, rhs = identities._nested_lhs(ops), identities._cycles_prelie_rhs(ops)
-        assert lhs == ref._nested_lhs(ops), f"left side, n={n}"
-        assert rhs == ref.cycles_prelie_rhs(ops), f"right side, n={n}"
+        lhs, rhs = identities._nested_lhs(alg, ops), identities._cycles_prelie_rhs(alg, ops)
+        assert lhs == ref._nested_lhs(alg, ops), f"left side, n={n}"
+        assert rhs == ref.cycles_prelie_rhs(alg, ops), f"right side, n={n}"
         assert (lhs == rhs) is (rota_baxter or n < 3), f"identity, n={n}"
 
 
@@ -72,19 +72,38 @@ def test_arity_six_takes_subset_work_not_permutation_work(monkeypatch):
     # (cycles - 1) = 1044.
     key, alg, _ = CASES["matrix3"]
     rb, r_calls = _counted(alg.rb)
-    ops = _operands(key, dataclasses.replace(alg, rb=rb), 6)
-    identities._nested_lhs(ops)
+    alg = dataclasses.replace(alg, rb=rb)
+    ops = _operands(key, alg, 6)
+    identities._nested_lhs(alg, ops)
     assert r_calls[0] == 62
     r_calls[0] = 0
-    ref._nested_lhs(ops)
+    ref._nested_lhs(alg, ops)
     assert r_calls[0] == 3600
 
     prelie, p_calls = _counted(identities.prelie_left)
     star, s_calls = _counted(identities.double_product)
     monkeypatch.setattr(identities, "prelie_left", prelie)
     monkeypatch.setattr(identities, "double_product", star)
-    assert check_bohnenblust_spitzer(ops, "cycles-prelie").status == "pass"
+    [check] = check_bohnenblust_spitzer(alg, ops)
+    assert check.name.endswith("/cycles-prelie") and check.status == "pass"
     assert (p_calls[0], s_calls[0]) == (129, 121)
     p_calls[0] = s_calls[0] = 0
-    ref.cycles_prelie_rhs(ops)
+    ref.cycles_prelie_rhs(alg, ops)
     assert (p_calls[0], s_calls[0]) == (2556, 1044)
+
+
+def test_one_left_side_serves_every_form():
+    # standard-comm gets two forms; at n = 4 the left side applies R to each
+    # proper nonempty subset, 2^4 - 2 = 14 times, and only once for both
+    key, alg, _ = CASES["standard-comm"]
+    rb, r_calls = _counted(alg.rb)
+    alg = dataclasses.replace(alg, rb=rb)
+    ops = _operands(key, alg, 4)
+    identities._partitions_rhs(alg, ops)
+    identities._cycles_prelie_rhs(alg, ops)
+    rhs_calls = r_calls[0]
+    r_calls[0] = 0
+    checks = check_bohnenblust_spitzer(alg, ops)
+    assert [c.name.rsplit("/", 1)[1] for c in checks] == ["commutative-partitions", "cycles-prelie"]
+    assert all(c.status == "pass" for c in checks)
+    assert r_calls[0] == 14 + rhs_calls

@@ -113,6 +113,7 @@ class TestSuiteConfigValidation:
             ("alphabet", 0),
             ("alphabet", 10),
             ("bs_arity", 0),
+            ("bs_arity", 1),
             ("bs_arity", 7),
             ("trials", -1),
             ("trials", 0),
@@ -283,6 +284,15 @@ class TestMain:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:")
+
+    def test_exit_two_on_a_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.conf"
+        path.write_bytes(b"\xff")
+        rc = main(["verify", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"error: cannot read config file {path}")
+        assert captured.out == ""
 
     def test_exit_two_on_zero_trials(self, capsys):
         # an empty random sample would report every law as PASS unchecked

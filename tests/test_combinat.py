@@ -176,6 +176,24 @@ class TestQuasiShuffle:
             quasi_shuffle_lower(Word((1,)), Word(), ALPHA)
 
 
+def test_half_products_put_the_first_letter_before_the_rest():
+    words = [Word(w) for k in range(4) for w in itertools.product(range(1, 5), repeat=k)]
+    head = lambda a, p: NCPoly.from_word(Word((a,))) * p
+    for u, v in itertools.product(words, repeat=2):
+        ut, vt = Word(u.letters[1:]), Word(v.letters[1:])
+        if len(u):
+            a = u.letters[0]
+            assert shuffle_upper(u, v) == head(a, shuffle_sum(ut, v))
+            assert quasi_shuffle_upper(u, v, ALPHA) == head(a, quasi_shuffle(ut, v, ALPHA))
+        if len(v):
+            b = v.letters[0]
+            assert shuffle_lower(u, v) == head(b, shuffle_sum(u, vt))
+            assert quasi_shuffle_lower(u, v, ALPHA) == head(b, quasi_shuffle(u, vt, ALPHA))
+        if len(u) and len(v):
+            merged = head(a + b, quasi_shuffle(ut, vt, ALPHA))
+            assert quasi_shuffle_merge(u, v, ALPHA) == merged
+
+
 short_words = st.lists(st.integers(min_value=1, max_value=3), max_size=3).map(
     lambda ls: Word(tuple(ls))
 )

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from rbx import (
-    BSOperands,
     ConfigError,
     LambdaSeries,
     LaurentElement,
@@ -38,6 +37,7 @@ from rbx import (
     tilde_operator,
     Permutation,
 )
+from rbx import cli
 from rbx.identities import _log_closed_form, atkinson_lemma, bch_of_series
 
 EX = SamplePlan("exhaustive")
@@ -198,6 +198,14 @@ def _summation_elements(n, seed=3):
     return alg, tuple(alg.random_element(rng) for _ in range(n))
 
 
+def _forms(checks):
+    return [c.name.rsplit("/", 1)[1] for c in checks]
+
+
+_REGISTRY = cli.default_models(cli.SuiteConfig())
+_NC = _REGISTRY["standard-nc"]
+
+
 class TestBohnenblustSpitzer:
     def test_two_operand_identity_by_hand(self):
         alg, (f1, f2) = _summation_elements(2)
@@ -206,66 +214,77 @@ class TestBohnenblustSpitzer:
         want = double_product(alg, f1, f2) - theta * (f1 * f2)
         assert alg.rb(lhs) == alg.rb(want)
         # and the packaged check agrees
-        ops = BSOperands(alg, (f1, f2))
-        assert check_bohnenblust_spitzer(ops, "commutative-partitions").status == "pass"
+        partitions, _ = check_bohnenblust_spitzer(alg, (f1, f2))
+        assert partitions.name.endswith("/commutative-partitions")
+        assert partitions.status == "pass"
 
     def test_two_operand_cycles_by_hand(self):
         alg = matrix_algebra(2)
         a, b = RatMatrix.unit(2, 1, 2), RatMatrix.unit(2, 2, 1)
-        ops = BSOperands(alg, (a, b))
         lhs = alg.rb(a) * b + alg.rb(b) * a
         rhs = double_product(alg, a, b) + prelie_left(alg, b, a)
         assert lhs == rhs
-        assert check_bohnenblust_spitzer(ops, "cycles-prelie").status == "pass"
+        [cycles] = check_bohnenblust_spitzer(alg, (a, b))
+        assert cycles.name.endswith("/cycles-prelie") and cycles.status == "pass"
 
     def test_forms_agree_up_to_arity_four(self):
         alg, fs = _summation_elements(4)
         for n in (2, 3, 4):
-            ops = BSOperands(alg, fs[:n])
-            for form in ("commutative-partitions", "cycles-prelie"):
-                res = check_bohnenblust_spitzer(ops, form)
+            checks = check_bohnenblust_spitzer(alg, fs[:n])
+            assert _forms(checks) == ["commutative-partitions", "cycles-prelie"]
+            for res in checks:
                 assert res.status == "pass", res.counterexample
 
     def test_weight_zero_form(self):
         alg = integration_algebra()
         rng = random.Random(5)
         for n in (2, 3):
-            ops = BSOperands(alg, tuple(alg.random_element(rng) for _ in range(n)))
-            for form in ("weight-zero", "commutative-partitions", "cycles-prelie"):
-                res = check_bohnenblust_spitzer(ops, form)
+            checks = check_bohnenblust_spitzer(alg, tuple(alg.random_element(rng) for _ in range(n)))
+            assert _forms(checks) == ["weight-zero", "cycles-prelie"]
+            for res in checks:
                 assert res.status == "pass", res.counterexample
 
     def test_noncommutative_cycles(self):
         rng = random.Random(7)
         for n in (2, 3):
-            ops = BSOperands(M3, tuple(M3.random_element(rng) for _ in range(n)))
-            res = check_bohnenblust_spitzer(ops, "cycles-prelie")
+            [res] = check_bohnenblust_spitzer(M3, tuple(M3.random_element(rng) for _ in range(n)))
             assert res.status == "pass", res.counterexample
+
+    @pytest.mark.parametrize(
+        "alg, forms",
+        [
+            (_REGISTRY["standard-comm"], ["commutative-partitions", "cycles-prelie"]),
+            (_NC, ["cycles-prelie"]),
+            (_NC.rescaled(Fraction(2, 3) / _NC.weight), ["cycles-prelie"]),
+            (_REGISTRY["matrix"], ["cycles-prelie"]),
+            (_REGISTRY["integration"], ["weight-zero", "cycles-prelie"]),
+        ],
+        ids=["standard-comm", "standard-nc", "standard-nc at weight 2/3", "matrix3", "integration"],
+    )
+    def test_each_carrier_gets_the_forms_it_admits(self, alg, forms):
+        checks = check_bohnenblust_spitzer(alg, (alg.one, alg.one))
+        assert _forms(checks) == forms
+        assert [c.name for c in checks] == [f"bohnenblust-spitzer/{alg.name}/n=2/{f}" for f in forms]
 
     def test_associative_chain_worked_example(self):
         alg, fs = _summation_elements(5)
-        ops = BSOperands(alg, fs)
         sigma = Permutation((2, 5, 4, 3, 1))
         # canonical cycles (4 3)(5 1 2): chains theta*F4F3 and theta^2*F5F1F2
-        got = cycle_chain_product(ops, sigma, "associative")
-        f = lambda i: ops.at(i)
+        got = cycle_chain_product(alg, fs, sigma, "associative")
+        f = lambda i: fs[i - 1]
         want = alg.weight ** 3 * double_product(alg, f(4) * f(3), f(5) * f(1) * f(2))
         assert got == want
 
     def test_preconditions(self):
         alg, fs = _summation_elements(2)
         with pytest.raises(ConfigError):
-            check_bohnenblust_spitzer(BSOperands(M3, (E(1, 2), E(2, 1))), "commutative-partitions")
+            check_bohnenblust_spitzer(alg, fs * 4)  # 8 operands
         with pytest.raises(ConfigError):
-            check_bohnenblust_spitzer(BSOperands(alg, fs), "weight-zero")
+            check_bohnenblust_spitzer(alg, ())
         with pytest.raises(ValueError):
-            check_bohnenblust_spitzer(BSOperands(alg, fs), "partitions")
-        with pytest.raises(ConfigError):
-            BSOperands(alg, fs * 4)  # 8 operands
+            cycle_chain_product(alg, fs, Permutation((1, 3, 2)), "prelie")
         with pytest.raises(ValueError):
-            cycle_chain_product(BSOperands(alg, fs), Permutation((1, 3, 2)), "prelie")
-        with pytest.raises(ValueError):
-            cycle_chain_product(BSOperands(alg, fs), Permutation((2, 1)), "smooth")
+            cycle_chain_product(alg, fs, Permutation((2, 1)), "smooth")
 
 
 class TestBogoliubov:

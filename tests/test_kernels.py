@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_carriers as ref
-from rbx import CPoly, LaurentElement, NCPoly, PolyFunction, RatMatrix, SeqElement, Word, cli
+from rbx import (
+    ConfigError, CPoly, LaurentElement, NCPoly, PolyFunction, RatMatrix, SeqElement, Word, cli
+)
 from rbx.models import (
     finite_difference,
     integration_algebra,
@@ -237,6 +239,28 @@ def test_fast_carrier_agrees_with_the_fraction_reference(name, data):
     # equality is canonical: the same value reached by another route is equal
     assert (fa + fb) - fb == fa
     assert fa - fa == 0 * fb
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_powers_are_repeated_products(name, data):
+    kind, param = KINDS[name]
+    a = data.draw(kind.data(param))
+    fa, ra = kind.fast(param, a), kind.ref(param, a)
+    want = ra
+    for n in range(1, 5):
+        if n > 1:
+            try:
+                want = want * ra
+            except ConfigError:  # past a Laurent pole bound or a degree cap
+                with pytest.raises(ConfigError):
+                    fa ** n
+                break
+        _agree(kind, fa ** n, want)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            fa ** n
 
 
 @pytest.mark.parametrize("name", ["ncpoly", "ncpoly-capped", "cpoly", "cpoly-capped"])
