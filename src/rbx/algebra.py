@@ -158,18 +158,33 @@ def tilde_operator(alg: RBAlgebra, x):
 
 
 def _tilde(alg: RBAlgebra, x, rx):
-    return -(alg.weight * x) - rx
+    """tilde_operator with rx = R(x) already computed, as (-theta)x - R(x): at
+    weight -1 the scalar multiple is x itself and at weight 0 it is not formed,
+    so one carrier pass."""
+    return (-alg.weight) * x - rx if alg.weight else -rx
+
+
+def _r_pair(alg: RBAlgebra, v) -> tuple:
+    """(R(v), Rtilde(v)), with R applied once, for an operand read again."""
+    rv = alg.rb(v)
+    return rv, _tilde(alg, v, rv)
 
 
 def prelie_left(alg: RBAlgebra, a, b):
-    """Left pre-Lie product R(a)b - bR(a) - theta*b*a."""
-    return _prelie(alg, a, alg.rb(a), b)
-
-
-def _prelie(alg: RBAlgebra, a, ra, b):
-    """prelie_left with ra = R(a) already computed."""
+    """Left pre-Lie product R(a)b - bR(a) - theta*b*a, the plain formula."""
+    ra = alg.rb(a)
     out = ra * b - b * ra
     return out - alg.weight * (b * a) if alg.weight else out
+
+
+def _prelie(pair, b):
+    """prelie_left with pair = (R(a), Rtilde(a)) already computed.
+
+    b Rtilde(a) = -b R(a) - theta*b*a by bilinearity alone, so a |> b =
+    R(a)b + b Rtilde(a) takes two carrier products.
+    """
+    ra, ta = pair
+    return ra * b + b * ta
 
 
 def b_operator(alg: RBAlgebra, x):
@@ -275,29 +290,30 @@ def check_prelie_axiom(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
     the double product coincide.
     """
     rb, theta = alg.rb, alg.weight
+    pair = lambda v: _r_pair(alg, v)
 
-    def right(a, b, rb_):
-        """right(a, b) = -left(b, a), with rb_ = R(b)."""
-        return -_prelie(alg, b, rb_, a)
+    def right(a, b, pb):
+        """right(a, b) = -left(b, a), with pb = (R(b), Rtilde(b))."""
+        return -_prelie(pb, a)
 
-    def bracket(a, b, rb_):
-        """left(a, b) - left(b, a), with rb_ = R(b)."""
-        return _prelie(alg, a, rb(a), b) - _prelie(alg, b, rb_, a)
+    def bracket(a, b, pb):
+        """left(a, b) - left(b, a), with pb = (R(b), Rtilde(b))."""
+        return _prelie(pair(a), b) - _prelie(pb, a)
 
     def triple_laws(x, y, z):
         # the six products of two distinct inputs, shared by the laws below;
         # R is applied once to each distinct value
-        rx, ry, rz = rb(x), rb(y), rb(z)
-        xy, yx = _prelie(alg, x, rx, y), _prelie(alg, y, ry, x)
-        yz, zy = _prelie(alg, y, ry, z), _prelie(alg, z, rz, y)
-        xz, zx = _prelie(alg, x, rx, z), _prelie(alg, z, rz, x)
-        lhs = _prelie(alg, xy, rb(xy), z) - _prelie(alg, x, rx, yz)
-        yield "left", lhs, _prelie(alg, yx, rb(yx), z) - _prelie(alg, y, ry, xz)
+        px, py, pz = pair(x), pair(y), pair(z)
+        xy, yx = _prelie(px, y), _prelie(py, x)
+        yz, zy = _prelie(py, z), _prelie(pz, y)
+        xz, zx = _prelie(px, z), _prelie(pz, x)
+        lhs = _prelie(pair(xy), z) - _prelie(px, yz)
+        yield "left", lhs, _prelie(pair(yx), z) - _prelie(py, xz)
         # right(x, y) = -yx and so on
         zy_, yz_ = -zy, -yz
-        lhs = right(-yx, z, rz) - right(x, zy_, rb(zy_))
-        yield "right", lhs, right(-zx, y, ry) - right(x, yz_, rb(yz_))
-        jac = bracket(xy - yx, z, rz) + bracket(yz - zy, x, rx) + bracket(zx - xz, y, ry)
+        lhs = right(-yx, z, pz) - right(x, zy_, pair(zy_))
+        yield "right", lhs, right(-zx, y, py) - right(x, yz_, pair(yz_))
+        jac = bracket(xy - yx, z, pz) + bracket(yz - zy, x, px) + bracket(zx - xz, y, py)
         yield "jacobi", jac, alg.zero
 
     def pair_laws(x, y):

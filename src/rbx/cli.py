@@ -40,6 +40,7 @@ from .algebra import (
 from .combinat import (
     MonoidAlphabet,
     Word,
+    _prefixed,
     bilinear,
     is_shuffle_of,
     quasi_shuffle,
@@ -497,8 +498,7 @@ def _shuffle_by_recursion(u: Word, v: Word) -> NCPoly:
         return NCPoly.from_word(u)
     a, b = u.letters[0], v.letters[0]
     ut, vt = Word(u.letters[1:]), Word(v.letters[1:])
-    out = NCPoly.from_word(Word((a,))) * _shuffle_by_recursion(ut, v)
-    return out + NCPoly.from_word(Word((b,))) * _shuffle_by_recursion(u, vt)
+    return _prefixed(a, _shuffle_by_recursion(ut, v)) + _prefixed(b, _shuffle_by_recursion(u, vt))
 
 
 @_suite("dendriform", ("integration",), any_weight=False)

@@ -28,6 +28,11 @@ Conventions fixed here once:
 * Bohnenblust-Spitzer checks each closed form the carrier admits against one
   left side. The partitions form carries (-theta)^{n - |pi|}: the n = 2 case
   F1 * F2 - theta F2 F1 = R(F1)F2 + R(F2)F1 forces the sign.
+* the recursions that read an operand again take its pair (R(v), Rtilde(v))
+  once, with Rtilde(v) = -theta v - R(v), and form a |> b = R(a)b + bRtilde(a)
+  and x * y = R(x)y - xRtilde(y) in two carrier products each. Both forms use
+  only bilinearity of the carrier product, never linearity of R, so they
+  give the values of prelie_left and double_product under any operator.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from fractions import Fraction
 from .algebra import (
     RBAlgebra,
     SamplePlan,
+    _prelie,
+    _r_pair,
     double_product,
     first_failure,
     prelie_left,
@@ -189,12 +196,13 @@ class MagnusExpansion:
     weight: Fraction
 
 
-def _prelie_grade(alg: RBAlgebra, w, t, g: int, low: int):
-    """Grade g of w |> t from coefficient sequences, reading w from grade 1,
-    where t vanishes below grade low: only i = 1 .. g - low contribute."""
+def _prelie_grade(alg: RBAlgebra, pairs, t, g: int, low: int):
+    """Grade g of w |> t from coefficient sequences, where pairs[i] is the
+    pair (R(w_i), Rtilde(w_i)) for i >= 1 and t vanishes below grade low:
+    only i = 1 .. g - low contribute."""
     acc = alg.zero
     for i in range(1, g - low + 1):
-        acc = acc + prelie_left(alg, w[i], t[g - i])
+        acc = acc + _prelie(pairs[i], t[g - i])
     return acc
 
 
@@ -205,19 +213,22 @@ def prelie_magnus_of_series(alg: RBAlgebra, z: LambdaSeries, order: int) -> Lamb
     tower[n][k] = sum_{i=1..k-n} omega_i |> tower[n-1][k-i], since tower n
     vanishes below grade n + 1. Grade k of every tower reads Omega only below
     grade k, so the recursion is well founded, each tower entry is computed
-    once, and each coefficient is independent of the truncation order.
+    once, and each coefficient is independent of the truncation order. Each
+    omega_k below the top grade gets its pair (R, Rtilde) once.
     """
     lam_z = [alg.zero] + [z.coefficient(k) for k in range(order)]
     weights = [Fraction((-1) ** n) * bernoulli(n) / math.factorial(n) for n in range(order)]
-    omega = [alg.zero]
+    omega, pairs = [alg.zero], [None]
     towers = [lam_z] + [[alg.zero] * (order + 1) for _ in range(1, order)]
     for k in range(1, order + 1):
         acc = lam_z[k]
         for n in range(1, k):
-            entry = towers[n][k] = _prelie_grade(alg, omega, towers[n - 1], k, n)
+            entry = towers[n][k] = _prelie_grade(alg, pairs, towers[n - 1], k, n)
             if weights[n]:
                 acc = acc + weights[n] * entry
         omega.append(acc)
+        if k < order:
+            pairs.append(_r_pair(alg, acc))
     return LambdaSeries(alg, tuple(omega))
 
 
@@ -309,29 +320,35 @@ def _cycles_prelie_rhs(alg: RBAlgebra, fs: tuple) -> object:
     max(S) comes last: RHS(S) = sum over blocks B containing max(S) of
     RHS(S - B) * C(B) in the double product, with C(S) alone for B = S. C(B)
     sums the chains seeded at F_max(B) over every order of the rest of B:
-    chains[top][T] = sum over j in T of chains[top][T - j] |> F_j, linear in
+    chain_top[T] = sum over j in T of chain_top[T - j] |> F_j, linear in
     its first argument. The recursion reaches only {1..n} and the subsets of
     {1..n-1}.
+
+    Every S with max(S) = top reads only chain_top, so each chain is built
+    just before those S and dropped after them. Every chain entry but the
+    last is read again, so it gets its pair (R, Rtilde) once, and every
+    RHS(S) below {1..n} gets R(RHS(S)) once.
     """
     n = len(fs)
-    chains = []
+    rhs, r_rhs = {}, {}
     for top in range(n):
-        chain = [fs[top]]
+        chain, pairs = [fs[top]], []
         for t in range(1, 1 << top):
+            pairs.append(_r_pair(alg, chain[-1]))
             chain.append(functools.reduce(
-                operator.add, (prelie_left(alg, chain[t ^ 1 << j], fs[j]) for j in _members(t, n))))
-        chains.append(chain)
-    rhs = {}
-    for s in (*range(1, 1 << (n - 1)), (1 << n) - 1):
-        top = s.bit_length() - 1
-        rest = s ^ 1 << top
-        total = chains[top][rest]
-        r = rest
-        while r:  # every nonempty r = S - B, a submask of rest
-            total = total + double_product(alg, rhs[r], chains[top][rest ^ r])
-            r = (r - 1) & rest
-        rhs[s] = total
-    return rhs[(1 << n) - 1]
+                operator.add, (_prelie(pairs[t ^ 1 << j], fs[j]) for j in _members(t, n))))
+        # rest = S - {top}: every set below top, but only {1..n} at the last top
+        for rest in range(1 << top) if top < n - 1 else ((1 << top) - 1,):
+            total = chain[rest]
+            r = rest
+            while r:  # every nonempty r = S - B, a submask of rest
+                # RHS(r) * C(B) = R(RHS(r)) C(B) - RHS(r) Rtilde(C(B))
+                total = total + r_rhs[r] * chain[rest ^ r] - rhs[r] * pairs[rest ^ r][1]
+                r = (r - 1) & rest
+            if top == n - 1:
+                return total
+            s = rest | 1 << top
+            rhs[s], r_rhs[s] = total, alg.rb(total)
 
 
 def _partitions_rhs(alg: RBAlgebra, fs: tuple) -> object:
@@ -340,21 +357,39 @@ def _partitions_rhs(alg: RBAlgebra, fs: tuple) -> object:
 
     In sorted order, partitions that share their first blocks are adjacent,
     so only the fold path of the previous one is kept: the (block, fold up
-    to it) pairs, and each prefix is folded once.
+    to it, R of that fold) triples, and each prefix is folded once. So each
+    first block, the one holding 1, gets its value and R once on the path;
+    every other block gets its value and Rtilde once, in a table. A fold that
+    covers {1..n} ends its partition and nothing extends it, so it gets no R.
     """
     n = len(fs)
+
+    def value_of(block):
+        prod = functools.reduce(operator.mul, (fs[j - 1] for j in block))
+        return math.factorial(len(block) - 1) * prod
+
     rhs = alg.zero
     path = []
+    later = {}  # block without 1 -> (value, Rtilde(value))
     for part in sorted(set_partitions(n), key=lambda p: p.blocks):
         blocks = part.blocks
         keep = 0
         while keep < len(path) and keep < len(blocks) and path[keep][0] == blocks[keep]:
             keep += 1
         del path[keep:]
-        for block in blocks[keep:]:
-            prod = functools.reduce(operator.mul, (fs[j - 1] for j in block))
-            value = math.factorial(len(block) - 1) * prod
-            path.append((block, double_product(alg, path[-1][1], value) if path else value))
+        for i, block in enumerate(blocks[keep:], keep):
+            if not path:
+                value = value_of(block)
+                path.append((block, value, alg.rb(value)))
+                continue
+            if block not in later:
+                value = value_of(block)
+                later[block] = value, tilde_operator(alg, value)
+            value, t_value = later[block]
+            _, fold, r_fold = path[-1]
+            # fold * value = R(fold) value - fold Rtilde(value)
+            fold = r_fold * value - fold * t_value
+            path.append((block, fold, alg.rb(fold) if i < len(blocks) - 1 else None))
         rhs = rhs + (-alg.weight) ** (n - part.block_count) * path[-1][1]
     return rhs
 
@@ -438,13 +473,14 @@ def flows_product(alg: RBAlgebra, x, y, order: int, omega_y: LambdaSeries) -> La
     grade-0 coefficient is x + y. omega_y is Omega'(y) at any order >= order.
     Term k of the exponential vanishes below grade k.
     """
-    omega_y = omega_y.truncate(order)
-    act = lambda u, v: prelie_left(alg, u, v)
-    term = _constant_source(alg, x, order)
-    acc = term
+    pairs = [None] + [_r_pair(alg, c) for c in omega_y.truncate(order).coeffs[1:]]
+    term = [x] + [alg.zero] * order
+    acc = _constant_source(alg, x, order)
     for k in range(1, order + 1):
-        term = series_mul(omega_y, term, 1, k - 1, act)
-        acc = acc + Fraction((-1) ** k, math.factorial(k)) * term
+        # term k = Omega'(y) |> term k-1, with each Omega'(y) pair formed once
+        grades = (_prelie_grade(alg, pairs, term, g, k - 1) for g in range(k, order + 1))
+        term = [alg.zero] * k + list(grades)
+        acc = acc + Fraction((-1) ** k, math.factorial(k)) * LambdaSeries(alg, term)
     return acc + _constant_source(alg, y, order)
 
 

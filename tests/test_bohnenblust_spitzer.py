@@ -18,7 +18,7 @@ import pytest
 import reference_bs as ref
 from rbx import cli, identities
 from rbx.identities import check_bohnenblust_spitzer
-from rbx.models import triangular_projection
+from rbx.models import RatMatrix, SeqElement, triangular_projection
 
 REGISTRY = cli.default_models(cli.SuiteConfig())
 _NC = REGISTRY["standard-nc"]
@@ -64,32 +64,60 @@ def _counted(fn):
     return counted, calls
 
 
+def _counted_work(monkeypatch, key, carrier):
+    """The case's carrier with a counting R, and a counting carrier `*` on the
+    class of its elements: (carrier, R calls, product calls)."""
+    _, alg, _ = CASES[key]
+    rb, r_calls = _counted(alg.rb)
+    mul, m_calls = _counted(carrier.__mul__)
+    monkeypatch.setattr(carrier, "__mul__", mul)
+    return dataclasses.replace(alg, rb=rb), r_calls, m_calls
+
+
 def test_arity_six_takes_subset_work_not_permutation_work(monkeypatch):
     # left side: R(T(S)) once per proper nonempty S, 2^6 - 2 = 62, against
     # 720 * 5 = 3600 in the permutation sum. Right side: sum over top of
-    # (top - 1) 2^(top - 2) = 129 pre-Lie calls and (3^5 - 1) / 2 = 121
-    # double products, against sum over S_6 of (6 - cycles) = 2556 and
-    # (cycles - 1) = 1044.
-    key, alg, _ = CASES["matrix3"]
-    rb, r_calls = _counted(alg.rb)
-    alg = dataclasses.replace(alg, rb=rb)
-    ops = _operands(key, alg, 6)
+    # (top - 1) 2^(top - 2) = 129 pre-Lie products and (3^5 - 1) / 2 = 121
+    # double products, two carrier products each: 500 (750 when each took
+    # three). R: one pair per chain entry but the last of each chain,
+    # sum over top of (2^top - 1) = 57, and one R per subset sum of
+    # {1..5}, 2^5 - 1 = 31: 88 (371 when every call applied R again).
+    # The permutation sum makes sum over S_6 of (6 - cycles) = 2556 pre-Lie
+    # and (cycles - 1) = 1044 double products.
+    alg, r_calls, m_calls = _counted_work(monkeypatch, "matrix3", RatMatrix)
+    ops = _operands("matrix", alg, 6)
     identities._nested_lhs(alg, ops)
     assert r_calls[0] == 62
     r_calls[0] = 0
     ref._nested_lhs(alg, ops)
     assert r_calls[0] == 3600
 
+    r_calls[0] = m_calls[0] = 0
+    identities._cycles_prelie_rhs(alg, ops)
+    assert (r_calls[0], m_calls[0]) == (88, 500)
+    [check] = check_bohnenblust_spitzer(alg, ops)
+    assert check.name.endswith("/cycles-prelie") and check.status == "pass"
+
     prelie, p_calls = _counted(identities.prelie_left)
     star, s_calls = _counted(identities.double_product)
     monkeypatch.setattr(identities, "prelie_left", prelie)
     monkeypatch.setattr(identities, "double_product", star)
-    [check] = check_bohnenblust_spitzer(alg, ops)
-    assert check.name.endswith("/cycles-prelie") and check.status == "pass"
-    assert (p_calls[0], s_calls[0]) == (129, 121)
-    p_calls[0] = s_calls[0] = 0
     ref.cycles_prelie_rhs(alg, ops)
     assert (p_calls[0], s_calls[0]) == (2556, 1044)
+
+
+def test_partitions_right_side_forms_each_block_once(monkeypatch):
+    # each of the 2^6 - 1 = 63 blocks gets its value, sum over blocks of
+    # (|B| - 1) = 6 * 2^5 - 63 = 129 products, and one R, once (and Rtilde
+    # if it does not hold 1). The 373 folds take two products each, 746, and
+    # the 171 that a later block extends, not counting first blocks, take
+    # one R each: 234 R and 875 products (746 and 1437 with the values
+    # formed per partition and R applied on every double product).
+    alg, r_calls, m_calls = _counted_work(monkeypatch, "standard-comm", SeqElement)
+    ops = _operands("standard-comm", alg, 6)
+    r_calls[0] = m_calls[0] = 0
+    identities._partitions_rhs(alg, ops)
+    assert (r_calls[0], m_calls[0]) == (234, 875)
 
 
 def test_one_left_side_serves_every_form():

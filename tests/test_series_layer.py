@@ -13,6 +13,7 @@ carrier and recursion coefficientwise.
 
 import operator
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -187,12 +188,26 @@ def _count_prelie(monkeypatch, module) -> list:
 
 
 def test_magnus_computes_each_tower_entry_once(monkeypatch):
-    # tower n contributes grades n+1..N, each a sum of k - n products:
-    # sum_k k(k-1)/2 = C(N+1, 3) pre-Lie calls, against 1008 at N = 8 before
+    # tower n contributes grades n+1..N, each a sum of k - n pre-Lie products:
+    # sum_k k(k-1)/2 = C(N+1, 3) = 84 at N = 8, two carrier products each
+    # (252 when each took three), against 1008 pre-Lie products before the
+    # towers. R runs once on each omega_k below the top grade, 7 times (84
+    # when every pre-Lie product applied it again).
     alg, x, _ = _sources("matrix")
-    calls = _count_prelie(monkeypatch, identities)
-    prelie_magnus(alg, x, 8)
-    assert calls[0] == 84
+    r_calls, products = [0], [0]
+    inner_rb, inner_mul = alg.rb, RatMatrix.__mul__
+
+    def rb(v):
+        r_calls[0] += 1
+        return inner_rb(v)
+
+    def mul(a, b):
+        products[0] += 1
+        return inner_mul(a, b)
+
+    monkeypatch.setattr(RatMatrix, "__mul__", mul)
+    prelie_magnus(replace(alg, rb=rb), x, 8)
+    assert (r_calls[0], products[0]) == (7, 168)
     old = _count_prelie(monkeypatch, ref)
     ref.prelie_magnus(alg, x, 8)
     assert old[0] == 1008
