@@ -25,21 +25,6 @@ from fractions import Fraction
 from .errors import ConfigError
 from .report import CheckResult
 
-__all__ = [
-    "RBAlgebra",
-    "SamplePlan",
-    "double_product",
-    "tilde_operator",
-    "prelie_left",
-    "b_operator",
-    "first_failure",
-    "check_rb_law",
-    "check_linearity",
-    "check_double_assoc_and_hom",
-    "check_weight_rescale",
-    "check_prelie_axiom",
-]
-
 
 @dataclass(frozen=True, eq=False)
 class RBAlgebra:

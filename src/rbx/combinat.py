@@ -22,27 +22,6 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .polynomials import NCPoly, Word
 
-__all__ = [
-    "Permutation",
-    "CycleDecomposition",
-    "SetPartition",
-    "MonoidAlphabet",
-    "permutations",
-    "canonical_cycles",
-    "set_partitions",
-    "shuffle",
-    "shuffle_sum",
-    "is_shuffle_of",
-    "shuffle_upper",
-    "shuffle_lower",
-    "quasi_shuffle",
-    "quasi_shuffle_upper",
-    "quasi_shuffle_lower",
-    "quasi_shuffle_merge",
-    "word_sum",
-    "bilinear",
-]
-
 _MAX_ARITY = 8
 
 

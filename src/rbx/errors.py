@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-__all__ = ["ConfigError"]
-
 
 class ConfigError(Exception):
     """Raised when a requested computation is outside the configured bounds.

@@ -60,26 +60,6 @@ from .report import CheckResult
 from .scalars import bernoulli
 from .series import LambdaSeries, series_exp, series_inverse, series_log, series_mul
 
-__all__ = [
-    "MagnusExpansion",
-    "solve_fixed_point",
-    "solve_fixed_point_series",
-    "atkinson_lemma",
-    "check_atkinson",
-    "bogoliubov_decompose",
-    "check_bogoliubov",
-    "spitzer_check_commutative",
-    "prelie_magnus",
-    "prelie_magnus_of_series",
-    "check_nc_spitzer",
-    "cycle_chain_product",
-    "check_bohnenblust_spitzer",
-    "bch_of_series",
-    "flows_product",
-    "check_flows_product_law",
-    "check_flows_bch",
-]
-
 SIDE_LEFT = "left-R"
 SIDE_RIGHT = "right-Rtilde"
 

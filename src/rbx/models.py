@@ -39,30 +39,6 @@ from .scalars import (
     randint,
 )
 
-__all__ = [
-    "RatMatrix",
-    "LaurentElement",
-    "SeqElement",
-    "PolyFunction",
-    "triangular_projection",
-    "laurent_pole_projection",
-    "standard_sum_operator",
-    "riemann_integral",
-    "polynomial_derivative",
-    "finite_difference",
-    "matrix_algebra",
-    "laurent_algebra",
-    "commutative_standard_algebra",
-    "noncommutative_standard_algebra",
-    "standard_generator",
-    "integration_algebra",
-    "summation_algebra",
-    "elementary_symmetric_check",
-    "nested_sum_encoding",
-    "nested_sum_encoding_sum",
-    "check_vector_field_prelie",
-]
-
 
 # ---------------------------------------------------------------------------
 # rational matrices

@@ -18,8 +18,6 @@ from fractions import Fraction
 
 from .scalars import SparseCarrier, lowest_terms_sparse, over_common_denominator
 
-__all__ = ["Word", "NCPoly", "CPoly"]
-
 
 def _word_str(letters: tuple) -> str:
     return "".join(f"x{a}" for a in letters) or "1"

@@ -13,8 +13,6 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-__all__ = ["CheckResult", "Report", "emit_report"]
-
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -20,8 +20,6 @@ import math
 import operator
 from fractions import Fraction
 
-__all__ = ["bernoulli", "parse_rational"]
-
 
 def _bernoulli_table(n_max: int) -> tuple:
     """B_0 .. B_{n_max} from the defining recurrence

@@ -15,14 +15,6 @@ import math
 import operator
 from fractions import Fraction
 
-__all__ = [
-    "LambdaSeries",
-    "series_mul",
-    "series_log",
-    "series_exp",
-    "series_inverse",
-]
-
 
 class LambdaSeries:
     """Coefficient vector c_0 .. c_N of a series sum_k c_k lambda^k."""

@@ -19,17 +19,6 @@ from .errors import ConfigError
 from .models import RatMatrix, matrix_algebra
 from .report import CheckResult
 
-__all__ = [
-    "TensorR",
-    "kron",
-    "aybe_check",
-    "rb_from_tensor",
-    "tensor_rb_algebra",
-    "check_dendriform",
-    "check_operator_ybe",
-    "check_modified_ybe",
-]
-
 
 def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     na, nb = a.dim, b.dim

@@ -15,19 +15,15 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from rbx import (
+from rbx.algebra import prelie_left
+from rbx.cli import SuiteConfig, main, run_suite
+from rbx.identities import check_nc_spitzer, prelie_magnus, spitzer_check_commutative
+from rbx.models import (
     RatMatrix,
-    SuiteConfig,
-    check_nc_spitzer,
     commutative_standard_algebra,
     integration_algebra,
-    main,
     matrix_algebra,
     noncommutative_standard_algebra,
-    prelie_left,
-    prelie_magnus,
-    run_suite,
-    spitzer_check_commutative,
     standard_generator,
 )
 

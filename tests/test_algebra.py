@@ -7,41 +7,48 @@ from fractions import Fraction
 
 import pytest
 
-from rbx import (
-    ConfigError,
-    LambdaSeries,
-    RatMatrix,
+from rbx.algebra import (
+    CUT,
     SamplePlan,
-    TensorR,
-    aybe_check,
     b_operator,
-    check_atkinson,
-    check_bogoliubov,
-    check_bohnenblust_spitzer,
     check_double_assoc_and_hom,
-    check_dendriform,
-    check_flows_bch,
-    check_flows_product_law,
     check_linearity,
-    check_modified_ybe,
-    check_nc_spitzer,
-    check_operator_ybe,
     check_prelie_axiom,
     check_rb_law,
     check_weight_rescale,
     double_product,
+    first_failure,
+    prelie_left,
+    tilde_operator,
+)
+from rbx.cli import SuiteConfig, default_models
+from rbx.errors import ConfigError
+from rbx.identities import (
+    atkinson_lemma,
+    check_atkinson,
+    check_bogoliubov,
+    check_bohnenblust_spitzer,
+    check_flows_bch,
+    check_flows_product_law,
+    check_nc_spitzer,
+    prelie_magnus,
+    spitzer_check_commutative,
+)
+from rbx.models import (
+    RatMatrix,
     integration_algebra,
     laurent_algebra,
     matrix_algebra,
-    prelie_left,
-    prelie_magnus,
-    spitzer_check_commutative,
     summation_algebra,
-    tilde_operator,
 )
-from rbx.algebra import CUT, first_failure
-from rbx.cli import SuiteConfig, default_models
-from rbx.identities import atkinson_lemma
+from rbx.series import LambdaSeries
+from rbx.yangbaxter import (
+    TensorR,
+    aybe_check,
+    check_dendriform,
+    check_modified_ybe,
+    check_operator_ybe,
+)
 
 EX = SamplePlan("exhaustive")
 M3 = matrix_algebra(3)

@@ -9,20 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from rbx import (
-    ConfigError,
-    RatMatrix,
-    Report,
-    SamplePlan,
-    SuiteConfig,
-    main,
-    matrix_algebra,
-    models,
-    noncommutative_standard_algebra,
-    parse_config,
-    run_suite,
-)
-from rbx.cli import SUITES
+from rbx import models
+from rbx.algebra import SamplePlan
+from rbx.cli import SUITES, SuiteConfig, main, parse_config, run_suite
+from rbx.errors import ConfigError
+from rbx.models import RatMatrix, matrix_algebra, noncommutative_standard_algebra
+from rbx.report import Report
 
 FAST = ["--trials", "5"]
 

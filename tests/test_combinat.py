@@ -8,13 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbx import (
-    ConfigError,
+from rbx.combinat import (
     MonoidAlphabet,
-    NCPoly,
     Permutation,
     SetPartition,
-    Word,
     bilinear,
     canonical_cycles,
     is_shuffle_of,
@@ -30,7 +27,8 @@ from rbx import (
     shuffle_upper,
     word_sum,
 )
-from rbx.polynomials import CPoly
+from rbx.errors import ConfigError
+from rbx.polynomials import CPoly, NCPoly, Word
 
 BELL = [1, 2, 5, 15, 52, 203]
 

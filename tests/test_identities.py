@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from rbx import (
-    ConfigError,
-    LambdaSeries,
-    LaurentElement,
-    RatMatrix,
-    SamplePlan,
+from rbx import cli
+from rbx.algebra import SamplePlan, double_product, prelie_left, tilde_operator
+from rbx.combinat import Permutation
+from rbx.errors import ConfigError
+from rbx.identities import (
+    _log_closed_form,
+    atkinson_lemma,
+    bch_of_series,
     bogoliubov_decompose,
     check_atkinson,
     check_bogoliubov,
@@ -19,26 +21,25 @@ from rbx import (
     check_flows_bch,
     check_flows_product_law,
     check_nc_spitzer,
-    commutative_standard_algebra,
     cycle_chain_product,
-    double_product,
     flows_product,
+    prelie_magnus,
+    solve_fixed_point,
+    spitzer_check_commutative,
+)
+from rbx.models import (
+    LaurentElement,
+    RatMatrix,
+    commutative_standard_algebra,
     integration_algebra,
     laurent_algebra,
     laurent_pole_projection,
     matrix_algebra,
     noncommutative_standard_algebra,
-    prelie_left,
-    prelie_magnus,
-    solve_fixed_point,
-    spitzer_check_commutative,
     standard_generator,
     summation_algebra,
-    tilde_operator,
-    Permutation,
 )
-from rbx import cli
-from rbx.identities import _log_closed_form, atkinson_lemma, bch_of_series
+from rbx.series import LambdaSeries
 
 EX = SamplePlan("exhaustive")
 M3 = matrix_algebra(3)

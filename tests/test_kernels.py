@@ -14,10 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_carriers as ref
-from rbx import (
-    ConfigError, CPoly, LaurentElement, NCPoly, PolyFunction, RatMatrix, SeqElement, Word, cli
-)
+from rbx import cli
+from rbx.errors import ConfigError
 from rbx.models import (
+    LaurentElement,
+    PolyFunction,
+    RatMatrix,
+    SeqElement,
     finite_difference,
     integration_algebra,
     laurent_algebra,
@@ -28,6 +31,7 @@ from rbx.models import (
     summation_algebra,
     triangular_projection,
 )
+from rbx.polynomials import CPoly, NCPoly, Word
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 scalars = st.one_of(st.sampled_from([0, 1, -1, 2]), rationals)

@@ -4,16 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from rbx import (
-    ConfigError,
-    CPoly,
+from rbx.algebra import tilde_operator
+from rbx.combinat import MonoidAlphabet, quasi_shuffle
+from rbx.errors import ConfigError
+from rbx.models import (
     LaurentElement,
-    MonoidAlphabet,
-    NCPoly,
     PolyFunction,
     RatMatrix,
     SeqElement,
-    Word,
+    check_vector_field_prelie,
     commutative_standard_algebra,
     elementary_symmetric_check,
     finite_difference,
@@ -25,15 +24,13 @@ from rbx import (
     nested_sum_encoding_sum,
     noncommutative_standard_algebra,
     polynomial_derivative,
-    quasi_shuffle,
     riemann_integral,
     standard_generator,
     standard_sum_operator,
     summation_algebra,
-    tilde_operator,
     triangular_projection,
-    check_vector_field_prelie,
 )
+from rbx.polynomials import CPoly, NCPoly, Word
 
 
 def _rb_law_holds(alg, x, y) -> bool:

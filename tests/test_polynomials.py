@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbx import CPoly, NCPoly, Word
+from rbx.polynomials import CPoly, NCPoly, Word
 
 
 class TestWord:

@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbx import LambdaSeries, bernoulli, matrix_algebra, parse_rational
-from rbx.models import RatMatrix
-from rbx.scalars import randint
-from rbx.series import series_exp, series_inverse, series_log
+from rbx.models import RatMatrix, matrix_algebra
+from rbx.scalars import bernoulli, parse_rational, randint
+from rbx.series import LambdaSeries, series_exp, series_inverse, series_log
 
 M2 = matrix_algebra(2)
 

@@ -19,23 +19,21 @@ from fractions import Fraction
 import pytest
 
 import reference_series as ref
-from rbx import (
-    LambdaSeries,
-    LaurentElement,
-    RatMatrix,
-    SuiteConfig,
+from rbx import identities
+from rbx.algebra import double_product, prelie_left
+from rbx.cli import SuiteConfig, default_models
+from rbx.identities import (
+    bch_of_series,
     bogoliubov_decompose,
     check_flows_bch,
     check_flows_product_law,
     flows_product,
     prelie_magnus,
+    prelie_magnus_of_series,
     solve_fixed_point,
 )
-from rbx import identities
-from rbx.cli import default_models
-from rbx.algebra import double_product, prelie_left
-from rbx.identities import bch_of_series, prelie_magnus_of_series
-from rbx.series import series_exp, series_log, series_mul
+from rbx.models import LaurentElement, RatMatrix
+from rbx.series import LambdaSeries, series_exp, series_log, series_mul
 
 ORDERS = range(1, 9)
 REGISTRY = default_models(SuiteConfig(order=8))

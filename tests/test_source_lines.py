@@ -1,4 +1,4 @@
-"""The sources keep to 100 columns and import only what they use."""
+"""The sources keep to 100 columns, import only what they use and export nothing."""
 
 import ast
 import pathlib
@@ -20,7 +20,7 @@ def test_no_source_line_is_wider_than_100_columns():
 
 
 def _unused_imports(path: pathlib.Path) -> list:
-    """Names the module imports but never reads; names in its __all__ count as read."""
+    """Names the module imports but never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}
     for node in ast.walk(tree):
@@ -31,11 +31,6 @@ def _unused_imports(path: pathlib.Path) -> list:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            read |= set(ast.literal_eval(node.value))
     return sorted(name for name in imported if name not in read)
 
 
@@ -48,3 +43,17 @@ def test_no_source_module_imports_a_name_it_does_not_use():
     assert sorted(set(unused) - TRACER_BOUND) == []
     # an exception that a module has started to use comes off the list
     assert sorted(TRACER_BOUND - set(unused)) == []
+
+
+def test_the_package_exports_nothing():
+    """rbx is used through its submodules: the package holds only its docstring
+    and no module names an `__all__`."""
+    package = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(package) and len(package.body) == 1
+    named = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "__all__"
+    ]
+    assert named == []

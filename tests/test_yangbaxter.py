@@ -4,23 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from rbx import (
-    ConfigError,
+from rbx.algebra import SamplePlan, b_operator, check_rb_law
+from rbx.errors import ConfigError
+from rbx.models import (
     RatMatrix,
-    SamplePlan,
+    integration_algebra,
+    laurent_algebra,
+    matrix_algebra,
+    riemann_integral,
+)
+from rbx.yangbaxter import (
     TensorR,
     aybe_check,
-    b_operator,
     check_dendriform,
     check_modified_ybe,
     check_operator_ybe,
-    check_rb_law,
-    integration_algebra,
     kron,
-    laurent_algebra,
-    matrix_algebra,
     rb_from_tensor,
-    riemann_integral,
     tensor_rb_algebra,
 )
 
