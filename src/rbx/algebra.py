@@ -189,8 +189,9 @@ def _cut(value) -> str:
 def first_failure(model: str, samples, laws, names) -> str | None:
     """``model=..; law=..; <name>=<input>..; lhs=..; rhs=..; diff=<lhs - rhs>``
     for the first (law, lhs, rhs) of ``laws(*sample)`` with lhs != rhs, each
-    value cut at CUT characters; None if all hold. No later law or sample is
-    evaluated. An empty sample raises ``ConfigError``: it would check nothing.
+    value cut at CUT characters; None if all hold. Law values must support
+    ``==`` and ``-``. No later law or sample is evaluated. An empty sample
+    raises ``ConfigError``: it would check nothing.
     """
     if not samples:
         raise ConfigError(f"model {model}: the sample is empty, so no law would be checked")

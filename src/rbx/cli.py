@@ -374,50 +374,59 @@ def _suite_rb_laws(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     return checks
 
 
+def _product_laws(mul, words: list, small: list) -> str | None:
+    """Commutativity of a word product on the pairs of `words`, then
+    associativity of its bilinear extension on the triples of `small`."""
+
+    def comm(u, v):
+        yield "comm", mul(u, v), mul(v, u)
+
+    def assoc(u, v, w):
+        lhs = bilinear(mul, mul(u, v), NCPoly.from_word(w))
+        yield "assoc", lhs, bilinear(mul, NCPoly.from_word(u), mul(v, w))
+
+    pairs, triples = itertools.product(words, repeat=2), itertools.product(small, repeat=3)
+    return first_failure("words", list(pairs), comm, "uv") or first_failure(
+        "words", list(triples), assoc, "uvw"
+    )
+
+
+def _word_check(name: str, anchor: str, samples: list, laws, names) -> CheckResult:
+    """A check of laws on words in the free model, rendered as `model=words`."""
+    return CheckResult.of(name, anchor, first_failure("words", samples, laws, names))
+
+
 @_suite("shuffle", any_weight=False)
 def _suite_shuffle(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     anchor = "Eq. (shuffle)"
-
-    def cardinality():
-        for i, j in itertools.product(range(5), repeat=2):
-            got = len(shuffle(Word(range(1, i + 1)), Word(range(i + 1, i + j + 1))))
-            if got != math.comb(i + j, i):
-                yield f"|u|={i}; |v|={j}: {got} interleavings"
-
-    w_yes, w_no = Word((1, 5, 2, 6, 7, 3, 4)), Word((1, 4, 2, 5, 6, 3, 7))
     u, v = Word((1, 2, 3, 4)), Word((5, 6, 7))
-    member_ok = is_shuffle_of(w_yes, u, v) and not is_shuffle_of(w_no, u, v)
 
-    def product_laws():
-        words = [Word((1,)), Word((2,)), Word((1, 2)), Word((3, 1))]
-        for u, v in itertools.product(words, repeat=2):
-            if shuffle_sum(u, v) != shuffle_sum(v, u):
-                yield f"u={u}; v={v}"
-        for u, v, w in itertools.product(words, repeat=3):
-            left = bilinear(shuffle_sum, shuffle_sum(u, v), NCPoly.from_word(w))
-            if left != bilinear(shuffle_sum, NCPoly.from_word(u), shuffle_sum(v, w)):
-                yield f"assoc u={u}; v={v}; w={w}"
+    def cardinality(u, v):
+        yield "cardinality", len(shuffle(u, v)), math.comb(len(u) + len(v), len(u))
+
+    def membership(w, member):
+        yield "membership", is_shuffle_of(w, u, v), member
 
     # half-shuffle axioms in the weight-0 free model
-    def half_products():
-        for a, b, c in [
-            (Word((1,)), Word((2,)), Word((3,))),
-            (Word((1, 2)), Word((3,)), Word((4,))),
-        ]:
-            if shuffle_lower(a, b) != shuffle_upper(b, a):
-                yield f"flip a={a}; b={b}"
-            lhs = bilinear(shuffle_upper, shuffle_upper(a, b), NCPoly.from_word(c))
-            inner = shuffle_upper(b, c) + shuffle_upper(c, b)
-            if lhs != bilinear(shuffle_upper, NCPoly.from_word(a), inner):
-                yield f"upper assoc a={a}; b={b}; c={c}"
-            if shuffle_upper(a, b) + shuffle_lower(a, b) != shuffle_sum(a, b):
-                yield f"recombine a={a}; b={b}"
+    def half_products(a, b, c):
+        yield "flip", shuffle_lower(a, b), shuffle_upper(b, a)
+        inner = shuffle_upper(b, c) + shuffle_upper(c, b)
+        lhs = bilinear(shuffle_upper, shuffle_upper(a, b), NCPoly.from_word(c))
+        yield "upper assoc", lhs, bilinear(shuffle_upper, NCPoly.from_word(a), inner)
+        yield "recombine", shuffle_upper(a, b) + shuffle_lower(a, b), shuffle_sum(a, b)
 
+    blocks = [
+        (Word(range(1, i + 1)), Word(range(i + 1, i + j + 1)))
+        for i, j in itertools.product(range(5), repeat=2)
+    ]
+    members = [(Word((1, 5, 2, 6, 7, 3, 4)), True), (Word((1, 4, 2, 5, 6, 3, 7)), False)]
+    words = [Word((1,)), Word((2,)), Word((1, 2)), Word((3, 1))]
+    triples = [(Word((1,)), Word((2,)), Word((3,))), (Word((1, 2)), Word((3,)), Word((4,)))]
     return [
-        CheckResult.of("shuffle/cardinality", anchor, next(cardinality(), None)),
-        CheckResult.of("shuffle/membership", anchor, None if member_ok else f"{w_yes} / {w_no}"),
-        CheckResult.of("shuffle/product-laws", anchor, next(product_laws(), None)),
-        CheckResult.of("shuffle/half-products", "Eq. (demishuffle0)", next(half_products(), None)),
+        _word_check("shuffle/cardinality", anchor, blocks, cardinality, "uv"),
+        _word_check("shuffle/membership", anchor, members, membership, ["w", "member"]),
+        CheckResult.of("shuffle/product-laws", anchor, _product_laws(shuffle_sum, words, words)),
+        _word_check("shuffle/half-products", "Eq. (demishuffle0)", triples, half_products, "abc"),
     ]
 
 
@@ -429,64 +438,43 @@ def _suite_quasi_shuffle(cfg: SuiteConfig, registry: dict, picked: list) -> list
     up = lambda u, v: quasi_shuffle_upper(u, v, alpha)
     small = [Word((1,)), Word((2,)), Word((1, 1))]
 
-    def expect(u, v, words):
-        got = qs(Word(u), Word(v))
-        return None if got == NCPoly({Word(w): 1 for w in words}) else f"got {got}"
-
-    def product_laws():
-        words = list(alpha.words(2))[:12]
-        for u, v in itertools.product(words, repeat=2):
-            if qs(u, v) != qs(v, u):
-                yield f"comm u={u}; v={v}"
-        for u, v, w in itertools.product(small, repeat=3):
-            left = bilinear(qs, qs(u, v), NCPoly.from_word(w))
-            if left != bilinear(qs, NCPoly.from_word(u), qs(v, w)):
-                yield f"assoc u={u}; v={v}; w={w}"
+    def terms(*words):
+        return lambda u, v: [("terms", qs(u, v), NCPoly({Word(w): 1 for w in words}))]
 
     # half products: down is the flip of up; up against up+down+merge associates
-    def half_products():
-        for x, y, z in [
-            (Word((1,)), Word((2,)), Word((1,))),
-            (Word((2, 1)), Word((1,)), Word((3,))),
-        ]:
-            if quasi_shuffle_lower(x, y, alpha) != up(y, x):
-                yield f"flip x={x}; y={y}"
-            inner = up(y, z) + up(z, y) + quasi_shuffle_merge(y, z, alpha)
-            lhs = bilinear(up, up(x, y), NCPoly.from_word(z))
-            if lhs != bilinear(up, NCPoly.from_word(x), inner):
-                yield f"upper assoc x={x}; y={y}; z={z}"
+    def half_products(x, y, z):
+        yield "flip", quasi_shuffle_lower(x, y, alpha), up(y, x)
+        inner = up(y, z) + up(z, y) + quasi_shuffle_merge(y, z, alpha)
+        lhs = bilinear(up, up(x, y), NCPoly.from_word(z))
+        yield "upper assoc", lhs, bilinear(up, NCPoly.from_word(x), inner)
 
     # dropping the merge branch of the recursion must land on the plain shuffle
-    def merge_free():
-        for u, v in itertools.product(small, repeat=2):
-            if _shuffle_by_recursion(u, v) != shuffle_sum(u, v):
-                yield f"u={u}; v={v}"
+    def merge_free(u, v):
+        yield "merge-free", _shuffle_by_recursion(u, v), shuffle_sum(u, v)
 
     # nested-sum realization: encoding is multiplicative
-    def nested_sums():
-        (_, alg), = picked
-        gen = standard_generator(len(alg.one.entries), DEGREE_CAP, "comm")
-        pairs = [((1,), (1,)), ((1,), (2,)), ((2,), (3,)), ((1, 2), (1,)), ((1, 1), (2, 1))]
+    (_, alg), = picked
+    gen = standard_generator(len(alg.one.entries), DEGREE_CAP, "comm")
 
-        def laws(u, v):
-            lhs = nested_sum_encoding(alg, gen, u) * nested_sum_encoding(alg, gen, v)
-            yield "encoding-multiplicative", lhs, nested_sum_encoding_sum(alg, gen, qs(u, v))
+    def nested_sums(u, v):
+        lhs = nested_sum_encoding(alg, gen, u) * nested_sum_encoding(alg, gen, v)
+        yield "encoding-multiplicative", lhs, nested_sum_encoding_sum(alg, gen, qs(u, v))
 
-        return first_failure(alg.name, [(Word(u), Word(v)) for u, v in pairs], laws, "uv")
-
+    pairs = [((1,), (1,)), ((1,), (2,)), ((2,), (3,)), ((1, 2), (1,)), ((1, 1), (2, 1))]
+    single = terms((1, 2), (2, 1), (3,))
+    five = terms((1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 3), (2, 4))
+    x1, x2 = Word((1,)), Word((2,))
+    words = list(alpha.words(2))[:12]
+    triples = [(x1, x2, x1), (Word((2, 1)), x1, Word((3,)))]
+    small_pairs = list(itertools.product(small, repeat=2))
+    encoded = first_failure(alg.name, [(Word(u), Word(v)) for u, v in pairs], nested_sums, "uv")
     return [
-        CheckResult.of(
-            "quasi-shuffle/single-letters", anchor, expect((1,), (2,), [(1, 2), (2, 1), (3,)])
-        ),
-        CheckResult.of(
-            "quasi-shuffle/five-term",
-            anchor,
-            expect((1,), (2, 3), [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 3), (2, 4)]),
-        ),
-        CheckResult.of("quasi-shuffle/product-laws", anchor, next(product_laws(), None)),
-        CheckResult.of("quasi-shuffle/half-products", anchor, next(half_products(), None)),
-        CheckResult.of("quasi-shuffle/merge-free", "Eq. (shuffle)", next(merge_free(), None)),
-        CheckResult.of("quasi-shuffle/nested-sums", "Eq. (shuffle)", nested_sums()),
+        CheckResult.of("quasi-shuffle/nested-sums", "Eq. (shuffle)", encoded),
+        _word_check("quasi-shuffle/single-letters", anchor, [(x1, x2)], single, "uv"),
+        _word_check("quasi-shuffle/five-term", anchor, [(x1, Word((2, 3)))], five, "uv"),
+        CheckResult.of("quasi-shuffle/product-laws", anchor, _product_laws(qs, words, small)),
+        _word_check("quasi-shuffle/half-products", anchor, triples, half_products, "xyz"),
+        _word_check("quasi-shuffle/merge-free", "Eq. (shuffle)", small_pairs, merge_free, "uv"),
     ]
 
 
@@ -654,8 +642,8 @@ def _suite_yang_baxter(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     checks = [check_modified_ybe(alg, small) for _, alg in picked]
     for mode in ("printed", "standard"):
         checks.append(_tag(aybe_check(_E12, mode), "E12"))
-        accepted = aybe_check(_E11, mode).status != "fail"
-        bad = "known non-solution was accepted" if accepted else None
+        rejected = lambda r: [("rejected", aybe_check(r, mode).status == "fail", True)]
+        bad = first_failure("tensor-cube[2]", [(_E11,)], rejected, "r")
         checks.append(CheckResult.of(f"aybe/{mode}/E11-rejected", "Eq. (ag)", bad))
     induced = tensor_rb_algebra(_E12)
     checks.append(check_rb_law(induced, ex))

@@ -87,7 +87,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def emit_report(report: Report, fmt: str = "text", path: str | None = None) -> str:
+def emit_report(report: Report, fmt: str = "text", path: str | None = None) -> None:
     """Render the report and write it to ``path`` or standard output."""
     if fmt == "json":
         rendered = report.to_json()
@@ -100,4 +100,3 @@ def emit_report(report: Report, fmt: str = "text", path: str | None = None) -> s
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(rendered)
-    return rendered

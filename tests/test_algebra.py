@@ -4,9 +4,11 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from rbx import algebra, cli, combinat, identities, models, yangbaxter
 from rbx.algebra import (
     CUT,
     SamplePlan,
@@ -41,6 +43,8 @@ from rbx.models import (
     matrix_algebra,
     summation_algebra,
 )
+from rbx.polynomials import NCPoly
+from rbx.report import CheckResult
 from rbx.series import LambdaSeries
 from rbx.yangbaxter import (
     TensorR,
@@ -253,6 +257,23 @@ _F = tuple(M3.random_element(_RNG) for _ in range(3))
 _D3 = _doubled(M3)
 _omega = lambda x: prelie_magnus(_D3, x, 3).omega
 
+
+def _suite_check(suite, check, target, broken):
+    """A thunk: the named check of a suite run with `cli.<target>` replaced by `broken`."""
+
+    def run():
+        with mock.patch.object(cli, target, broken):
+            report = cli.run_suite(SuiteConfig(suite=suite, trials=10))
+        return next(c for c in report.checks if c.name == check)
+
+    return run
+
+
+# a word product plus its left factor: still bilinear, no longer commutative
+_skewed = lambda mul: lambda u, v, *alpha: mul(u, v, *alpha) + NCPoly.from_word(u)
+_no_merge = lambda u, v, alpha: combinat.shuffle_sum(u, v)
+_accept = lambda r, mode: CheckResult.of(f"aybe/{mode}", "Eq. (ag)", None)
+
 # one row per check family: (label, model name, thunk returning the CheckResult)
 _BROKEN = [
     ("rb-law", "matrix3", lambda: check_rb_law(_doubled(M3), EX)),
@@ -276,6 +297,28 @@ _BROKEN = [
      lambda: check_flows_product_law(_D3, _X, E(2, 3), 3, _omega(E(2, 3)))),
     ("flows-bch", "matrix3",
      lambda: check_flows_bch(_D3, _X, E(2, 3), 3, _omega(_X), _omega(E(2, 3)))),
+    ("shuffle-cardinality", "words", _suite_check(
+        "shuffle", "shuffle/cardinality", "shuffle", lambda u, v: combinat.shuffle(u, v)[1:])),
+    ("shuffle-membership", "words", _suite_check(
+        "shuffle", "shuffle/membership", "is_shuffle_of", lambda w, u, v: True)),
+    ("shuffle-product-laws", "words", _suite_check(
+        "shuffle", "shuffle/product-laws", "shuffle_sum", _skewed(combinat.shuffle_sum))),
+    ("shuffle-half-products", "words", _suite_check(
+        "shuffle", "shuffle/half-products", "shuffle_lower", combinat.shuffle_upper)),
+    ("quasi-shuffle-single-letters", "words", _suite_check(
+        "quasi-shuffle", "quasi-shuffle/single-letters", "quasi_shuffle", _no_merge)),
+    ("quasi-shuffle-five-term", "words", _suite_check(
+        "quasi-shuffle", "quasi-shuffle/five-term", "quasi_shuffle", _no_merge)),
+    ("quasi-shuffle-product-laws", "words", _suite_check(
+        "quasi-shuffle", "quasi-shuffle/product-laws", "quasi_shuffle",
+        _skewed(combinat.quasi_shuffle))),
+    ("quasi-shuffle-half-products", "words", _suite_check(
+        "quasi-shuffle", "quasi-shuffle/half-products", "quasi_shuffle_lower",
+        combinat.quasi_shuffle_upper)),
+    ("quasi-shuffle-merge-free", "words", _suite_check(
+        "quasi-shuffle", "quasi-shuffle/merge-free", "shuffle_sum", _skewed(combinat.shuffle_sum))),
+    ("aybe-E11-rejected", "tensor-cube[2]", _suite_check(
+        "yang-baxter", "aybe/standard/E11-rejected", "aybe_check", _accept)),
 ]
 
 
@@ -288,3 +331,30 @@ def test_every_check_family_renders_its_counterexample(model, run):
     assert res.counterexample.startswith(f"model={model}; law=")
     for key in ("; lhs=", "; rhs=", "; diff="):
         assert key in res.counterexample
+
+
+def test_every_check_is_decided_by_first_failure(monkeypatch):
+    """Each CheckResult.of of a full run follows a first_failure that returned
+    after the previous one, so no check renders a counterexample of its own."""
+    events = []  # None when a first_failure returns, the check name at CheckResult.of
+    evaluate, of = algebra.first_failure, CheckResult.of.__func__
+
+    def recorded_first_failure(*args):
+        bad = evaluate(*args)
+        events.append(None)
+        return bad
+
+    def recorded_of(cls, name, anchor, counterexample):
+        events.append(name)
+        return of(cls, name, anchor, counterexample)
+
+    for module in (algebra, cli, identities, models, yangbaxter):
+        monkeypatch.setattr(module, "first_failure", recorded_first_failure)
+    monkeypatch.setattr(CheckResult, "of", classmethod(recorded_of))
+    argv = ["verify", "--suite", "all", "--trials", "10", "--order", "4", "--bs-arity", "4"]
+    report = cli.run_suite(cli.parse_config(argv))
+    assert report.checks and report.failed == 0
+    undecided = [
+        name for before, name in zip(["start"] + events, events) if None not in (before, name)
+    ]
+    assert undecided == []
