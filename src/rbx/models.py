@@ -27,11 +27,14 @@ from fractions import Fraction
 
 from .algebra import RBAlgebra, first_failure
 from .errors import ConfigError
-from .polynomials import CPoly, NCPoly, Word
+from .polynomials import CPoly, NCPoly, Word, multiply_maps
 from .report import CheckResult
 from .scalars import (
     DenseCarrier,
     SparseCarrier,
+    _over_lcm,
+    _reduced,
+    add_maps,
     draw_rationals,
     lowest_terms,
     lowest_terms_sparse,
@@ -304,16 +307,18 @@ class SeqElement(DenseCarrier):
     """Finite window of ring values with pointwise operations.
 
     A window of rationals stores integer numerators ``num`` over one
-    denominator ``den``, in lowest terms; a window of polynomials stores the
-    ``CPoly`` or ``NCPoly`` entries themselves as ``num``, over ``den`` = 1.
-    ``entries`` gives the Fractions, or the polynomials.
+    denominator ``den``. A window of polynomials stores one numerator map per
+    slot (letter tuple -> nonzero int) as ``num``, over one ``den``, with its
+    polynomial class ``poly`` and degree cap ``cap``. Either way the whole
+    window is in lowest terms. ``entries`` gives the Fractions, or builds the
+    polynomials.
 
     The constructor accepts only rationals, or polynomials of one class and
-    one cap, so a window operation checks the length and slot 0 once and
-    then runs the polynomials' trusted kernels slot by slot.
+    one cap, so a window operation checks the length, the entry kind and the
+    cap once and then runs on the numerators with one gcd per window.
     """
 
-    __slots__ = ()
+    __slots__ = ("poly", "cap")
 
     def __init__(self, entries):
         entries = tuple(entries)
@@ -324,27 +329,33 @@ class SeqElement(DenseCarrier):
             kind, cap = type(first), first.cap
             if any(type(e) is not kind or e.cap != cap for e in entries):
                 raise ValueError("window entries must be polynomials of one class and cap")
-            self.num, self.den = entries, 1
+            den = math.lcm(*(e.den for e in entries))  # entries in lowest terms: so is the window
+            self.num = tuple([add_maps({}, e.num, den // e.den) for e in entries])
+            self.den, self.poly, self.cap = den, kind, cap
         elif all(isinstance(e, (int, Fraction)) for e in entries):
             self.num, self.den = lowest_terms(*over_common_denominator(entries))
         else:
             raise ValueError("window entries must be rationals or polynomials")
 
-    @staticmethod
-    def _window(entries: list) -> "SeqElement":
-        """A polynomial window from a list of entries of one class and cap.
-
-        A list, not an iterator: tuple() resizes what it builds from an
-        iterator, which fills CPython's tuple free lists and raises peak memory.
-        """
+    def _over(self, maps: list, den: int) -> "SeqElement":
+        """A window of this one's class and cap from zero-free maps over den, in lowest terms."""
+        if den != 1:
+            g = den
+            for m in maps:
+                if m:
+                    g = math.gcd(g, *m.values())
+                    if g == 1:
+                        break
+            if g != 1:
+                maps = [{k: c // g for k, c in m.items()} for m in maps]
+                den //= g
         s = object.__new__(SeqElement)
-        s.num = tuple(entries)
-        s.den = 1
+        s.num, s.den, s.poly, s.cap = tuple(maps), den, self.poly, self.cap
         return s
 
     def _like(self, nums: list, den: int) -> "SeqElement":
         s = object.__new__(SeqElement)
-        s.num, s.den = lowest_terms(nums, den)  # polynomial windows: den 1, no gcd
+        s.num, s.den = lowest_terms(nums, den)
         return s
 
     def _match_shape(self, other: "SeqElement") -> None:
@@ -352,32 +363,40 @@ class SeqElement(DenseCarrier):
         if (
             len(self.num) != len(other.num)
             or type(a) is not type(b)
-            or (type(a) is not int and a.cap != b.cap)
+            or (type(a) is dict and (self.poly is not other.poly or self.cap != other.cap))
         ):
             raise ValueError("window lengths, entry kinds or degree caps differ")
 
     @property
     def entries(self) -> tuple:
         num, den = self.num, self.den
-        return tuple(Fraction(c, den) for c in num) if isinstance(num[0], int) else num
+        if type(num[0]) is int:
+            return tuple(Fraction(c, den) for c in num)
+        return tuple(self.poly._of(*_reduced(m, den), self.cap) for m in num)
 
     def _plus(self, other: "SeqElement", sign: int = 1) -> "SeqElement":
         if type(self.num[0]) is int:
             return DenseCarrier._plus(self, other, sign)
-        sums = map(NCPoly._plus, self.num, other.num, itertools.repeat(sign))
-        return SeqElement._window(list(sums))
+        fa, fb, den = _over_lcm(self.den, other.den)
+        sums = map(add_maps, self.num, other.num, itertools.repeat(sign * fb), itertools.repeat(fa))
+        return self._over(list(sums), den)
 
     def _scaled(self, n: int, d: int) -> "SeqElement":
         if type(self.num[0]) is int:
             return DenseCarrier._scaled(self, n, d)
-        return SeqElement._window([p._scaled(n, d) for p in self.num])
+        if n == 1 and d == 1:
+            return self
+        if not n:
+            return self._over([{}] * len(self.num), 1)
+        return self._over([{k: n * c for k, c in m.items()} for m in self.num], self.den * d)
 
     def __mul__(self, other: "SeqElement") -> "SeqElement":
         self._match(other)
-        a, b = self.num, other.num
+        a, b, den = self.num, other.num, self.den * other.den
         if type(a[0]) is int:
-            return self._like(list(map(operator.mul, a, b)), self.den * other.den)
-        return SeqElement._window(list(map(NCPoly._times, a, b)))
+            return self._like(list(map(operator.mul, a, b)), den)
+        cap, commutative = itertools.repeat(self.cap), itertools.repeat(self.poly._commutative)
+        return self._over(list(map(multiply_maps, a, b, cap, commutative)), den)
 
     __hash__ = None
 
@@ -396,8 +415,7 @@ def standard_sum_operator(s: SeqElement) -> SeqElement:
     num = s.num
     if type(num[0]) is int:
         return s._like(list(itertools.accumulate(num[:-1], operator.add, initial=0)), s.den)
-    sums = itertools.accumulate(num[:-1], NCPoly._plus, initial=0 * num[0])
-    return SeqElement._window(list(sums))
+    return s._over(list(itertools.accumulate(num[:-1], add_maps, initial={})), s.den)
 
 
 def finite_difference(s: SeqElement) -> SeqElement:
@@ -405,6 +423,8 @@ def finite_difference(s: SeqElement) -> SeqElement:
     num = s.num
     if len(num) < 2:
         raise ValueError("empty window")
+    if type(num[0]) is dict:
+        return s._over(list(map(add_maps, num[1:], num[:-1], itertools.repeat(-1))), s.den)
     return s._like(list(map(operator.sub, num[1:], num[:-1])), s.den)
 
 
@@ -418,19 +438,22 @@ def _standard_algebra(window: int, cap: int, poly) -> RBAlgebra:
         SeqElement([unit if i == k else nil for i in range(window)]) for k in range(window)
     )
     top = max(window - 1, 1)
-    letters = {k: poly.letter(k, cap) for k in range(1, top + 1)}
+    letters = {k: poly.letter(k, cap).num for k in range(1, top + 1)}
 
-    # sparse draws: a constant part plus letter terms at two slots. Laws are
-    # multilinear, so this spans the same coverage while keeping iterated
-    # partial sums from piling up terms quadratically. A letter coefficient
-    # is drawn as Fraction(randint(-2, 2), randint(1, 2)) would draw it.
+    # sparse draws: one constant c in every slot, plus a multiple of the
+    # slot's own letter x_slot at two slots drawn from 1..top, its coefficient
+    # drawn as Fraction(randint(-2, 2), randint(1, 2)) would draw it. Every
+    # entry is a polynomial in one letter, so two samples always commute,
+    # on standard-nc too.
     def rand(rng: random.Random) -> SeqElement:
-        entries = [randint(rng, -2, 2) * unit] * window
-        for _ in range(2):
-            slot = randint(rng, 1, top)
-            n = randint(rng, -2, 2)
-            entries[slot] = entries[slot] + letters[slot]._scaled(n, randint(rng, 1, 2))
-        return SeqElement._window(entries)
+        c = randint(rng, -2, 2)
+        draws = [(randint(rng, 1, top), randint(rng, -2, 2), randint(rng, 1, 2)) for _ in range(2)]
+        den = max(d for _, _, d in draws)
+        maps = [{(): c * den} if c else {}] * window
+        for slot, n, d in draws:
+            if n:
+                maps[slot] = add_maps(maps[slot], letters[slot], n * den // d)
+        return zero._over(maps, den)
 
     return RBAlgebra(
         name=f"standard-{kind}[W={window}]",

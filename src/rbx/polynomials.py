@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import SparseCarrier, lowest_terms_sparse, over_common_denominator
+from .scalars import SparseCarrier, _reduced, lowest_terms_sparse, over_common_denominator
 
 
 def _word_str(letters: tuple) -> str:
@@ -49,6 +49,37 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self.letters})"
+
+
+def multiply_maps(a: dict, b: dict, cap: int | None, commutative: bool) -> dict:
+    """The product of two numerator maps without zeros, as a map without zeros.
+
+    Words longer than the cap are dropped, and commutative products sort
+    their keys. A zero operand gives the zero map and a constant one, which
+    commutes with everything, scales the other, so only two nonconstant maps
+    reach the product loop.
+    """
+    if not a or not b:
+        return {}
+    if len(b) == 1 and () in b:
+        a, b = b, a
+    if len(a) == 1 and () in a:
+        c = a[()]
+        if len(b) == 1 and () in b:
+            return {(): c * b[()]}
+        return {k: c * v for k, v in b.items()}
+    out: dict = {}
+    get = out.get
+    for u, cu in a.items():
+        room = None if cap is None else cap - len(u)
+        for v, cv in b.items():
+            if room is not None and len(v) > room:
+                continue
+            w = u + v
+            if commutative:
+                w = tuple(sorted(w))
+            out[w] = get(w, 0) + cu * cv
+    return {w: c for w, c in out.items() if c}
 
 
 def _render(num: dict, den: int, fmt) -> str:
@@ -142,34 +173,9 @@ class NCPoly(SparseCarrier):
         return self._times(other)
 
     def _times(self, other: "NCPoly") -> "NCPoly":
-        """self * other, for an operand ``_match`` has accepted.
-
-        A zero operand comes back as it is and a constant one scales the
-        other, so only two nonconstant polynomials reach the product loop.
-        """
-        a, b = self.num, other.num
-        if not a:
-            return self
-        if not b:
-            return other
-        if len(a) == 1 and () in a:
-            return other._scaled(a[()], self.den)
-        if len(b) == 1 and () in b:
-            return self._scaled(b[()], other.den)
-        cap = self.cap
-        commutative = self._commutative
-        out: dict = {}
-        get = out.get
-        for u, cu in a.items():
-            room = None if cap is None else cap - len(u)
-            for v, cv in b.items():
-                if room is not None and len(v) > room:
-                    continue
-                w = u + v
-                if commutative:
-                    w = tuple(sorted(w))
-                out[w] = get(w, 0) + cu * cv
-        return self._like(out, self.den * other.den)
+        """self * other, for an operand ``_match`` has accepted."""
+        num = multiply_maps(self.num, other.num, self.cap, self._commutative)
+        return self._new(*_reduced(num, self.den * other.den))
 
     def __str__(self) -> str:
         return _render(self.num, self.den, _word_str)

@@ -131,6 +131,28 @@ def _reduced(num: dict, den: int) -> tuple:
     return num, den
 
 
+def add_maps(a: dict, b: dict, fb: int = 1, fa: int = 1) -> dict:
+    """fa * a + fb * b for numerator maps without zeros, as a map without
+    zeros; fb must not be 0. Maps are never changed in place, so an empty
+    operand hands the other map back as it is when its factor is 1."""
+    if not b and fa == 1:
+        return a
+    if not a and fb == 1:
+        return b
+    if len(a) == 1 == len(b) and () in a and () in b:  # two constant polynomials
+        c = fa * a[()] + fb * b[()]
+        return {(): c} if c else {}
+    out = dict(a) if fa == 1 else {k: c * fa for k, c in a.items()}
+    get = out.get
+    for k, c in b.items():
+        c = get(k, 0) + fb * c
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return out
+
+
 def _over_lcm(da: int, db: int) -> tuple:
     """Multipliers bringing denominators da and db to their lcm, and the lcm."""
     g = math.gcd(da, db)
@@ -213,7 +235,7 @@ class DenseCarrier(_Carrier):
         return self._like([n * c for c in self.num], self.den * d)
 
     def __neg__(self):
-        return self._like([-c for c in self.num], self.den)
+        return self._scaled(-1, 1)
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
@@ -235,8 +257,8 @@ class SparseCarrier(_Carrier):
     def _plus(self, other, sign: int = 1):
         """self + sign * other, for an operand ``_match`` has accepted.
 
-        A zero operand costs nothing; otherwise one pass over ``other`` adds
-        its numerators and drops the keys that cancel.
+        A zero operand costs nothing; otherwise ``add_maps`` adds the
+        numerators and drops the keys that cancel.
         """
         b = other.num
         if not b:
@@ -244,21 +266,8 @@ class SparseCarrier(_Carrier):
         a = self.num
         if not a:
             return other if sign == 1 else other._scaled(sign, 1)
-        da, db = self.den, other.den
-        if da == db:
-            out = dict(a)
-        else:
-            fa, fb, da = _over_lcm(da, db)
-            out = {k: c * fa for k, c in a.items()}
-            sign *= fb
-        get = out.get
-        for k, c in b.items():
-            c = get(k, 0) + sign * c
-            if c:
-                out[k] = c
-            else:
-                del out[k]
-        return self._new(*_reduced(out, da))
+        fa, fb, den = _over_lcm(self.den, other.den)
+        return self._new(*_reduced(add_maps(a, b, sign * fb, fa), den))
 
     def _scaled(self, n: int, d: int):
         """(n / d) * self: no zero sweep, one gcd when the denominator is not 1."""

@@ -21,11 +21,13 @@ from rbx.models import (
     PolyFunction,
     RatMatrix,
     SeqElement,
+    commutative_standard_algebra,
     finite_difference,
     integration_algebra,
     laurent_algebra,
     laurent_pole_projection,
     matrix_algebra,
+    noncommutative_standard_algebra,
     riemann_integral,
     standard_sum_operator,
     summation_algebra,
@@ -194,7 +196,10 @@ def _seq_kind(inner):
         def canonical(s):
             if inner is None:
                 return _lowest(s.num, s.den)
-            return s.den == 1 and all(map(inner.canonical, s.entries))
+            # no stored zeros, the whole window in lowest terms (so the zero
+            # window over 1), and each slot canonical once built
+            values = [c for m in s.num for c in m.values()]
+            return all(values) and _lowest(values, s.den) and all(map(inner.canonical, s.entries))
 
     return Kind
 
@@ -397,8 +402,50 @@ def test_windows_mixing_zero_constant_and_general_entries(name, shift):
         (kind.R(fa), kind.ref_R(ra)), (kind.R(fa * fb), kind.ref_R(ra * rb)),
     ):
         _agree(kind, fast, reference)
-        assert all(type(p) is type(fa.num[0]) and p.cap == cap for p in fast.num)
+        assert (fast.poly, fast.cap) == (type(fa.entries[0]), cap)
+        assert all(type(p) is fast.poly and p.cap == cap for p in fast.entries)
     assert fa - fa == 0 * fb
+
+
+# slots over different denominators (the window's is their lcm, 60), and
+# products that the cap of 4 truncates, in part and in every slot
+WINDOWS = {
+    "denominators": (
+        [{(1,): Fraction(1, 2)}, {(): Fraction(1, 3), (2,): Fraction(2, 5)}, {(1, 2): Fraction(3, 4)}],
+        [{(): Fraction(1, 6)}, {(2, 1): Fraction(5, 7)}, {(): Fraction(4, 3)}],
+    ),
+    "truncated": (
+        [{(1, 2, 3): Fraction(1, 3), (): Fraction(1, 2)}, {(1, 1): Fraction(2, 3)}, {(3, 2, 1): 4}],
+        [{(2, 1): Fraction(3, 2), (1,): Fraction(1, 5)}, {(2, 2, 2): Fraction(1, 6)}, {(1,): 2}],
+    ),
+    "all-truncated": (
+        [{(1, 2, 3): Fraction(1, 3)}, {(1, 1): Fraction(2, 3)}, {(3, 2): 4}],
+        [{(2, 1): Fraction(3, 2)}, {(2, 2, 2): Fraction(1, 6)}, {(1, 1, 1): Fraction(1, 2)}],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["standard-nc-seq", "standard-comm-seq"])
+@pytest.mark.parametrize("case", sorted(WINDOWS))
+def test_windows_on_chosen_slots(name, case):
+    kind, cap = KINDS[name]
+    a, b = WINDOWS[case]
+    fa, fb, ra, rb = kind.fast(cap, a), kind.fast(cap, b), kind.ref(cap, a), kind.ref(cap, b)
+    steps = ra.entries
+    for fast, reference in (
+        (fa + fb, ra + rb), (fa - fb, ra - rb), (fa * fb, ra * rb), (fb * fa, rb * ra),
+        (fa * fa, ra * ra), (Fraction(3, 2) * fb, Fraction(3, 2) * rb), (fa ** 3, ra ** 3),
+        (kind.R(fb), kind.ref_R(rb)), ((fa + fb) - fb, ra),
+        (finite_difference(fa), ref.SeqElement([y - x for x, y in zip(steps, steps[1:])])),
+    ):
+        _agree(kind, fast, reference)
+    # every slot cancels: the zero window over 1
+    zero = (fa - fb) - (fa - fb)
+    assert (zero.num, zero.den) == (({},) * 3, 1) and zero == 0 * fa
+    if case == "denominators":
+        assert fa.den == 60
+    if case == "all-truncated":
+        assert fa * fb == zero
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +454,20 @@ def test_windows_mixing_zero_constant_and_general_entries(name, shift):
 
 def _fractions(rng, count, top, den_top):
     return [Fraction(rng.randint(-top, top), rng.randint(1, den_top)) for _ in range(count)]
+
+
+def _standard_draws(poly, window, cap):
+    """The standard sampler's draws as per-slot Fraction polynomials, in its order."""
+
+    def built(rng):
+        entries = [poly({Word(()): Fraction(rng.randint(-2, 2))}, cap)] * window
+        for _ in range(2):
+            slot = rng.randint(1, window - 1)
+            c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+            entries[slot] = entries[slot] + poly({Word((slot,)): c}, cap)
+        return SeqElement(entries)
+
+    return built
 
 
 WIDE = laurent_algebra(12, 12)  # the CLI's Laurent carrier at --order 3
@@ -431,6 +492,12 @@ SAMPLERS = {
     "laurent-short": (
         laurent_algebra(4, 2).random_element,
         lambda rng: LaurentElement(dict(zip(range(-2, 4), _fractions(rng, 6, 3, 2))), 4, 2),
+    ),
+    "standard-comm": (
+        commutative_standard_algebra(10, 8).random_element, _standard_draws(CPoly, 10, 8),
+    ),
+    "standard-nc": (
+        noncommutative_standard_algebra(10, 8).random_element, _standard_draws(NCPoly, 10, 8),
     ),
     "cli-laurent": (
         lambda rng: cli._MODELS["laurent"].operand(WIDE, rng),
