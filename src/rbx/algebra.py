@@ -56,45 +56,26 @@ class RBAlgebra:
         )
 
 
-class SampleStream:
-    """Consecutive draws of one seeded generator, for one sampler at a time.
-
-    A plan keeps one stream, so its pairs and triples, and those of the plans
-    narrowed from it, read one sequence of draws instead of restarting the
-    generator per check. The draws are the ones a fresh ``random.Random(seed)``
-    gives, because only the sampler consumes it. A new sampler or seed
-    replaces the held draws.
-    """
-
-    __slots__ = ("sampler", "seed", "rng", "drawn")
-
-    def __init__(self):
-        self.sampler = self.seed = None
-
-    def take(self, sampler, seed: int, count: int) -> list:
-        """The first ``count`` elements ``sampler`` draws from ``random.Random(seed)``."""
-        if sampler is not self.sampler or seed != self.seed:
-            self.sampler, self.seed = sampler, seed
-            self.rng, self.drawn = random.Random(seed), []
-        drawn, rng = self.drawn, self.rng
-        drawn.extend(sampler(rng) for _ in range(count - len(drawn)))
-        return drawn[:count]
-
-
 @dataclass(frozen=True)
 class SamplePlan:
     """Where the universally quantified laws are actually tested.
 
     ``exhaustive`` enumerates the algebra's declared basis; ``random`` reads
     seeded draws: its pairs and triples are consecutive draws of one
-    stream per carrier, so a plan with fewer trials checks a prefix of the
+    generator per carrier, so a plan with fewer trials checks a prefix of the
     samples of one with more. Deterministic given the seed.
+
+    ``held`` is [sampler, seed, generator, draws] for one sampler at a time.
+    ``replace`` keeps it, so a plan and the plans narrowed from it read one
+    sequence of draws instead of restarting the generator per check. The draws
+    are the ones a fresh ``random.Random(seed)`` gives, because only the
+    sampler consumes it. A new sampler or seed replaces the held draws.
     """
 
     mode: str = "random"
     trials: int = 200
     seed: int = 42
-    stream: SampleStream = field(default_factory=SampleStream, compare=False, repr=False)
+    held: list = field(default_factory=lambda: [None] * 4, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "random"):
@@ -103,12 +84,17 @@ class SamplePlan:
             raise ValueError(f"a random plan needs at least one trial, got {self.trials}")
 
     def narrowed(self, trials: int) -> "SamplePlan":
-        """This plan at ``trials`` trials; ``replace`` keeps the stream, so
-        both plans read the same draws."""
+        """This plan at ``trials`` trials, reading the same draws."""
         return replace(self, trials=trials)
 
     def _draws(self, alg: RBAlgebra, arity: int) -> list:
-        return self.stream.take(alg.random_element, self.seed, arity * self.trials)
+        """The first arity * trials elements ``alg`` draws from ``random.Random(seed)``."""
+        held, sampler, count = self.held, alg.random_element, arity * self.trials
+        if held[0] is not sampler or held[1] != self.seed:
+            held[:] = sampler, self.seed, random.Random(self.seed), []
+        _, _, rng, drawn = held
+        drawn.extend(sampler(rng) for _ in range(count - len(drawn)))
+        return drawn[:count]
 
     def pairs(self, alg: RBAlgebra):
         if self.mode == "exhaustive":

@@ -63,7 +63,9 @@ from .identities import (
     check_flows_product_law,
     check_nc_spitzer,
     prelie_magnus,
+    solve_fixed_point,
     spitzer_check_commutative,
+    SIDE_LEFT,
 )
 from .models import (
     commutative_standard_algebra,
@@ -216,9 +218,11 @@ def _matrix_source(alg, rng: random.Random) -> RatMatrix:
 
 
 def _standard_operand(alg, rng: random.Random):
-    # the identities are multilinear, so unit-plus-basis combinations cover
-    # them; dense elements would inflate the n-fold products for no extra reach.
-    # The draws are those of rng.choice and rng.randrange(1, len(alg.basis)).
+    # c*1 + d*e_k with e_k the indicator of one slot: the basis spans only the
+    # scalar windows, so these operands reach no letter and do not cover the
+    # multilinear identities on the whole carrier. Dense elements would inflate
+    # the n-fold products. The draws are those of rng.choice and
+    # rng.randrange(1, len(alg.basis)).
     c = (-2, -1, 1, 2)[randint(rng, 0, 3)]
     d = (-2, -1, 1, 2, 3)[randint(rng, 0, 4)]
     return c * alg.one + d * alg.basis[randint(rng, 1, len(alg.basis) - 1)]
@@ -283,9 +287,9 @@ def default_models(cfg: SuiteConfig) -> dict:
 def _sources(cfg: SuiteConfig, key: str, alg, count: int) -> list:
     """Deterministic sample elements of a model, its canonical source first.
 
-    Standard-model samples are unit-plus-letter combinations: series engines
-    are linear in the source grade by grade, and the full generator makes
-    order-6 towers explode combinatorially.
+    Standard-model samples are c*1 + d*e_k with e_k the indicator of one slot,
+    so every slot holds a constant and no sample carries a letter. The full
+    generator would make order-6 towers explode combinatorially.
     """
     model, rng = _MODELS[key], random.Random(cfg.seed)
     return [model.source(alg, rng)] + [model.operand(alg, rng) for _ in range(count - 1)]
@@ -294,7 +298,7 @@ def _sources(cfg: SuiteConfig, key: str, alg, count: int) -> list:
 # ---------------------------------------------------------------------------
 # suite table
 
-_SUITE_TABLE = {}  # suite -> callable (cfg, registry) returning its checks
+_SUITE_TABLE = {}  # suite -> callable (cfg, registry, picked) returning its checks
 _SUITE_MODELS = {}  # suite -> (models --model may pick, whether --weight applies)
 
 
@@ -304,7 +308,7 @@ def _suite(name: str, models: tuple = (), any_weight: bool = True):
 
     def register(fn):
         _SUITE_MODELS[name] = (models, any_weight)
-        _SUITE_TABLE[name] = lambda cfg, registry: fn(cfg, registry, _select(cfg, registry, name))
+        _SUITE_TABLE[name] = fn
         return fn
 
     return register
@@ -454,7 +458,7 @@ def _suite_quasi_shuffle(cfg: SuiteConfig, registry: dict, picked: list) -> list
 
     # nested-sum realization: encoding is multiplicative
     (_, alg), = picked
-    gen = standard_generator(len(alg.one.entries), DEGREE_CAP, "comm")
+    gen = standard_generator(len(alg.one.num), DEGREE_CAP, "comm")
 
     def nested_sums(u, v):
         lhs = nested_sum_encoding(alg, gen, u) * nested_sum_encoding(alg, gen, v)
@@ -550,7 +554,7 @@ def _suite_magnus(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     signs (the spitzer suite re-verifies that closed form independently).
     """
     (_, alg), = picked
-    x = standard_generator(len(alg.one.entries), DEGREE_CAP, "nc")
+    x = standard_generator(len(alg.one.num), DEGREE_CAP, "nc")
     omega = prelie_magnus(alg, x, 4).omega
     expected = _magnus_expected(alg, x)
     checks = []
@@ -656,7 +660,16 @@ def _suite_yang_baxter(cfg: SuiteConfig, registry: dict, picked: list) -> list:
 def _suite_standard_symmetric(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     window = cfg.window
     ks = sorted({min(3, window - 1), window // 2 + 1, window - 1})
-    checks = [elementary_symmetric_check(n, k, window, DEGREE_CAP) for n in range(1, 5) for k in ks]
+    # grade n of the left fixed point of the generator is R^(n) of it, for both kinds
+    comm = commutative_standard_algebra(window, DEGREE_CAP)
+    gen = standard_generator(window, DEGREE_CAP, "comm")
+    fixed = solve_fixed_point(comm, gen, SIDE_LEFT, 4)
+    nc = noncommutative_standard_algebra(window, DEGREE_CAP)
+    nc_fixed = solve_fixed_point(nc, standard_generator(window, DEGREE_CAP, "nc"), SIDE_LEFT, 4)
+    checks = []
+    for n in range(1, 5):
+        power = comm.rb(gen**n)
+        checks += [elementary_symmetric_check(n, k, fixed, nc_fixed, power) for k in ks]
     (_, alg), = picked
     rng = random.Random(cfg.seed)
 
@@ -678,9 +691,9 @@ def run_suite(cfg: SuiteConfig, models: dict | None = None) -> Report:
     if models:
         registry.update(models)
     names = SUITES if cfg.suite == "all" else (cfg.suite,)
-    for name in names:
-        _select(cfg, registry, name)  # refuse a bad --model or --weight before any suite runs
-    checks = [check for name in names for check in _SUITE_TABLE[name](cfg, registry)]
+    # every suite's picks first, so a bad --model or --weight is refused before any suite runs
+    picks = {name: _select(cfg, registry, name) for name in names}
+    checks = [check for name in names for check in _SUITE_TABLE[name](cfg, registry, picks[name])]
     elapsed_ms = int((time.monotonic() - started) * 1000)
     params = {key: getattr(cfg, key) for key in _KEYS if key not in ("format", "output")}
     params["weight"] = None if cfg.weight is None else str(cfg.weight)

@@ -620,24 +620,19 @@ def integration_algebra(cap: int = 24) -> RBAlgebra:
 # symmetric-function correspondences in the standard algebra
 
 
-def _iterated_rb(alg: RBAlgebra, x, n: int):
-    """R^(n): R(x), R(R(x)x), R(R(R(x)x)x), ..."""
-    acc = alg.rb(x)
-    for _ in range(n - 1):
-        acc = alg.rb(acc * x)
-    return acc
-
-
-def elementary_symmetric_check(
-    n: int, k: int, window: int = 10, cap: int = 8
-) -> CheckResult:
+def elementary_symmetric_check(n: int, k: int, fixed, nc_fixed, power) -> CheckResult:
     """Iterated partial sums realize e_n; powers realize power sums.
 
-    In the commutative standard algebra, slot k of R^(n) applied to the
-    generator equals e_n(x_1 .. x_{k-1}) and slot k of R(x^n) equals
-    x_1^n + ... + x_{k-1}^n. The noncommutative variant replaces e_n by the
-    sum over strictly increasing index words.
+    ``fixed`` and ``nc_fixed`` are the left fixed points l = 1 + lambda R(lx)
+    of the generator x in the commutative and noncommutative standard
+    algebras; their grade n is l_n = R(l_{n-1} x) = R(R(..R(x)x..)x).
+    ``power`` is R(x^n) in the commutative one. Slot k of grade n equals
+    e_n(x_1 .. x_{k-1}) and slot k of R(x^n) equals x_1^n + ... + x_{k-1}^n.
+    The noncommutative variant replaces e_n by the sum over strictly
+    increasing index words. Window and cap are those of ``fixed.carrier``.
     """
+    one = fixed.carrier.one
+    window, cap = len(one.num), one.cap
     if n < 1:
         raise ConfigError("order must be >= 1")
     if k >= window:
@@ -645,21 +640,14 @@ def elementary_symmetric_check(
     if n > cap:
         raise ConfigError(f"order {n} exceeds degree cap {cap}")
 
-    alg = commutative_standard_algebra(window, cap)
-    gen = standard_generator(window, cap, "comm")
-
     def laws(n, k):
         increasing = {Word(c): Fraction(1) for c in itertools.combinations(range(1, k), n)}
-        yield f"e_{n}", _iterated_rb(alg, gen, n).entries[k], CPoly(increasing, cap)
-
-        got = alg.rb(gen**n).entries[k]
+        yield f"e_{n}", fixed.coefficient(n).entries[k], CPoly(increasing, cap)
+        got = power.entries[k]
         yield "power-sum", got, CPoly({Word((i,) * n): Fraction(1) for i in range(1, k)}, cap)
+        yield "ordered-words", nc_fixed.coefficient(n).entries[k], NCPoly(increasing, cap)
 
-        nalg = noncommutative_standard_algebra(window, cap)
-        ngen = standard_generator(window, cap, "nc")
-        yield "ordered-words", _iterated_rb(nalg, ngen, n).entries[k], NCPoly(increasing, cap)
-
-    bad = first_failure(alg.name, [(n, k)], laws, "nk")
+    bad = first_failure(fixed.carrier.name, [(n, k)], laws, "nk")
     return CheckResult.of(f"standard-symmetric/n={n}/k={k}", "Eq. (shuffle)", bad)
 
 

@@ -125,11 +125,7 @@ class NCPoly(SparseCarrier):
 
     def _new(self, num: dict, den: int) -> "NCPoly":
         """A polynomial of this kind and cap, from canonical numerators."""
-        p = object.__new__(type(self))
-        p.num = num
-        p.den = den
-        p.cap = self.cap
-        return p
+        return self._of(num, den, self.cap)
 
     @classmethod
     def _of(cls, num: dict, den: int, cap: int | None) -> "NCPoly":

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from rbx import models
+from rbx import cli, models
 from rbx.algebra import SamplePlan
 from rbx.cli import SUITES, SuiteConfig, main, parse_config, run_suite
 from rbx.errors import ConfigError
@@ -162,6 +162,23 @@ class TestRunSuite:
         assert rc == 2
         assert captured.err.startswith("error: suite shuffle ")
         assert captured.out == ""
+
+    def test_each_suite_selects_its_carriers_once(self, capsys, monkeypatch):
+        selected, ran = [], []
+        select = cli._select
+        monkeypatch.setattr(cli, "_select", lambda cfg, registry, suite: selected.append(suite)
+                            or select(cfg, registry, suite))
+        argv = ["verify", "--suite", "all", "--order", "2", "--bs-arity", "2"] + FAST
+        assert main(argv) == 0
+        assert selected == list(SUITES)
+        # laurent passes rb-laws and is refused by shuffle: no suite may run
+        for name, fn in cli._SUITE_TABLE.items():
+            recorded = lambda *args, fn=fn, name=name: ran.append(name) or fn(*args)
+            monkeypatch.setitem(cli._SUITE_TABLE, name, recorded)
+        capsys.readouterr()
+        assert main(["verify", "--suite", "all", "--model", "laurent"] + FAST) == 2
+        assert capsys.readouterr().err.startswith("error: suite shuffle ")
+        assert ran == []
 
     @pytest.mark.parametrize(
         "suite", ["shuffle", "quasi-shuffle", "dendriform", "standard-symmetric"]

@@ -7,6 +7,7 @@ import pytest
 from rbx.algebra import tilde_operator
 from rbx.combinat import MonoidAlphabet, quasi_shuffle
 from rbx.errors import ConfigError
+from rbx.identities import SIDE_LEFT, solve_fixed_point
 from rbx.models import (
     LaurentElement,
     PolyFunction,
@@ -31,6 +32,15 @@ from rbx.models import (
     triangular_projection,
 )
 from rbx.polynomials import CPoly, NCPoly, Word
+
+
+def _symmetric_inputs(window: int, cap: int) -> tuple:
+    """The commutative carrier, its generator, and the left fixed points of
+    the generator to grade 4 in both standard algebras."""
+    comm, gen = commutative_standard_algebra(window, cap), standard_generator(window, cap)
+    nc, nc_gen = noncommutative_standard_algebra(window, cap), standard_generator(window, cap, "nc")
+    fixed = solve_fixed_point(comm, gen, SIDE_LEFT, 4)
+    return comm, gen, fixed, solve_fixed_point(nc, nc_gen, SIDE_LEFT, 4)
 
 
 def _rb_law_holds(alg, x, y) -> bool:
@@ -219,18 +229,32 @@ class TestStandardAlgebra:
         second = alg.rb(alg.rb(gen) * gen)
         assert second.entries[3] == CPoly({Word((1, 2)): Fraction(1)}, 8)
 
+    def test_left_fixed_point_grades_are_iterated_sums(self):
+        kinds = ((commutative_standard_algebra, "comm"), (noncommutative_standard_algebra, "nc"))
+        for make, kind in kinds:
+            alg, gen = make(6, 8), standard_generator(6, 8, kind)
+            fixed = solve_fixed_point(alg, gen, SIDE_LEFT, 4)
+            iterated = alg.rb(gen)
+            for n in range(1, 5):
+                assert fixed.coefficient(n) == iterated
+                iterated = alg.rb(iterated * gen)
+
     def test_elementary_symmetric_check_passes(self):
+        comm, gen, fixed, nc_fixed = _symmetric_inputs(6, 8)
         for n in (1, 2, 3):
+            power = comm.rb(gen**n)
             for k in (3, 5):
-                assert elementary_symmetric_check(n, k, window=6, cap=8).status == "pass"
+                assert elementary_symmetric_check(n, k, fixed, nc_fixed, power).status == "pass"
 
     def test_elementary_symmetric_check_bounds(self):
-        with pytest.raises(ConfigError):
-            elementary_symmetric_check(0, 3)
-        with pytest.raises(ConfigError):
-            elementary_symmetric_check(1, 10, window=10)
-        with pytest.raises(ConfigError):
-            elementary_symmetric_check(9, 3, cap=8)
+        comm, gen, fixed, nc_fixed = _symmetric_inputs(10, 8)
+        power = comm.rb(gen)  # never read: each call is refused first
+        with pytest.raises(ConfigError, match="order must be >= 1"):
+            elementary_symmetric_check(0, 3, fixed, nc_fixed, power)
+        with pytest.raises(ConfigError, match="slot 10 needs window > 10"):
+            elementary_symmetric_check(1, 10, fixed, nc_fixed, power)
+        with pytest.raises(ConfigError, match="order 9 exceeds degree cap 8"):
+            elementary_symmetric_check(9, 3, fixed, nc_fixed, power)
 
     def test_rb_law_noncommutative(self):
         alg = noncommutative_standard_algebra(5, 6)
