@@ -2,6 +2,6 @@
 
 Everything is exact rational arithmetic (carriers store integer numerators
 over a shared denominator and read out `fractions.Fraction`); there is no
-floating point and no tolerance anywhere. Carriers that truncate (Laurent tails, polynomial
-degree caps) raise `ConfigError` instead of silently dropping terms.
+floating point and no tolerance anywhere. Carriers that truncate (Laurent tails, the
+degree cap of `integration`) raise `ConfigError` instead of silently dropping terms.
 """

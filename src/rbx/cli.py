@@ -97,9 +97,6 @@ from .yangbaxter import (
     tensor_rb_algebra,
 )
 
-DEGREE_CAP = 8
-
-
 @dataclass(frozen=True)
 class SuiteConfig:
     """One `rbx verify` run. SUITES and MODELS come from the tables below."""
@@ -245,12 +242,12 @@ class _Model:
 
 _MODELS = {
     "standard-comm": _Model(
-        lambda cfg: commutative_standard_algebra(cfg.window, DEGREE_CAP),
+        lambda cfg: commutative_standard_algebra(cfg.window),
         lambda alg, rng: alg.one + alg.basis[1],
         _standard_operand,
     ),
     "standard-nc": _Model(
-        lambda cfg: noncommutative_standard_algebra(cfg.window, DEGREE_CAP),
+        lambda cfg: noncommutative_standard_algebra(cfg.window),
         lambda alg, rng: alg.one + alg.basis[1],
         _standard_operand,
     ),
@@ -458,7 +455,7 @@ def _suite_quasi_shuffle(cfg: SuiteConfig, registry: dict, picked: list) -> list
 
     # nested-sum realization: encoding is multiplicative
     (_, alg), = picked
-    gen = standard_generator(len(alg.one.num), DEGREE_CAP, "comm")
+    gen = standard_generator(len(alg.one.num), "comm")
 
     def nested_sums(u, v):
         lhs = nested_sum_encoding(alg, gen, u) * nested_sum_encoding(alg, gen, v)
@@ -554,7 +551,7 @@ def _suite_magnus(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     signs (the spitzer suite re-verifies that closed form independently).
     """
     (_, alg), = picked
-    x = standard_generator(len(alg.one.num), DEGREE_CAP, "nc")
+    x = standard_generator(len(alg.one.num), "nc")
     omega = prelie_magnus(alg, x, 4).omega
     expected = _magnus_expected(alg, x)
     checks = []
@@ -661,11 +658,11 @@ def _suite_standard_symmetric(cfg: SuiteConfig, registry: dict, picked: list) ->
     window = cfg.window
     ks = sorted({min(3, window - 1), window // 2 + 1, window - 1})
     # grade n of the left fixed point of the generator is R^(n) of it, for both kinds
-    comm = commutative_standard_algebra(window, DEGREE_CAP)
-    gen = standard_generator(window, DEGREE_CAP, "comm")
+    comm = commutative_standard_algebra(window)
+    gen = standard_generator(window, "comm")
     fixed = solve_fixed_point(comm, gen, SIDE_LEFT, 4)
-    nc = noncommutative_standard_algebra(window, DEGREE_CAP)
-    nc_fixed = solve_fixed_point(nc, standard_generator(window, DEGREE_CAP, "nc"), SIDE_LEFT, 4)
+    nc = noncommutative_standard_algebra(window)
+    nc_fixed = solve_fixed_point(nc, standard_generator(window, "nc"), SIDE_LEFT, 4)
     checks = []
     for n in range(1, 5):
         power = comm.rb(gen**n)
@@ -708,6 +705,8 @@ def main(argv=None, models: dict | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:  # argparse's --help or usage error, already printed
+        return exc.code
     return 0 if report.failed == 0 else 1
 
 

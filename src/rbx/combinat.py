@@ -177,7 +177,7 @@ def word_sum(words) -> NCPoly:
     for w in words:
         key = w.letters
         num[key] = num.get(key, 0) + 1
-    return NCPoly._of(num, 1, None)
+    return NCPoly._of(num, 1)
 
 
 def shuffle_sum(u: Word, v: Word) -> NCPoly:
@@ -241,7 +241,7 @@ def quasi_shuffle(u: Word, v: Word, alpha: MonoidAlphabet) -> NCPoly:
         done[i, j] = out
         return out
 
-    return NCPoly._of(suffixes(0, 0), 1, None)
+    return NCPoly._of(suffixes(0, 0), 1)
 
 
 def quasi_shuffle_upper(u: Word, v: Word, alpha: MonoidAlphabet) -> NCPoly:
@@ -268,7 +268,7 @@ def quasi_shuffle_merge(u: Word, v: Word, alpha: MonoidAlphabet) -> NCPoly:
 
 def bilinear(op, p: NCPoly, q: NCPoly) -> NCPoly:
     """Extend a Word x Word -> NCPoly operation to formal sums."""
-    out = NCPoly.zero(p.cap)
+    out = NCPoly.zero()
     for wu, cu in p.terms.items():
         for wv, cv in q.terms.items():
             out = out + (cu * cv) * op(wu, wv)

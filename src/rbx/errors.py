@@ -8,6 +8,6 @@ class ConfigError(Exception):
 
     Covers bad CLI/config input as well as runtime bound violations that the
     exact-arithmetic policy refuses to truncate away (pole underflow in the
-    Laurent model, degree-cap overflow in the polynomial model). The CLI maps
-    this to exit code 2.
+    Laurent model, the degree cap of the polynomial functions of
+    ``integration``). The CLI maps this to exit code 2.
     """

@@ -309,16 +309,15 @@ class SeqElement(DenseCarrier):
     A window of rationals stores integer numerators ``num`` over one
     denominator ``den``. A window of polynomials stores one numerator map per
     slot (letter tuple -> nonzero int) as ``num``, over one ``den``, with its
-    polynomial class ``poly`` and degree cap ``cap``. Either way the whole
-    window is in lowest terms. ``entries`` gives the Fractions, or builds the
-    polynomials.
+    polynomial class ``poly``. Either way the whole window is in lowest terms.
+    ``entries`` gives the Fractions, or builds the polynomials.
 
-    The constructor accepts only rationals, or polynomials of one class and
-    one cap, so a window operation checks the length, the entry kind and the
-    cap once and then runs on the numerators with one gcd per window.
+    The constructor accepts only rationals, or polynomials of one class, so a
+    window operation checks the length and the entry kind once and then runs
+    on the numerators with one gcd per window.
     """
 
-    __slots__ = ("poly", "cap")
+    __slots__ = ("poly",)
 
     def __init__(self, entries):
         entries = tuple(entries)
@@ -326,19 +325,19 @@ class SeqElement(DenseCarrier):
             raise ValueError("empty window")
         first = entries[0]
         if isinstance(first, NCPoly):
-            kind, cap = type(first), first.cap
-            if any(type(e) is not kind or e.cap != cap for e in entries):
-                raise ValueError("window entries must be polynomials of one class and cap")
+            kind = type(first)
+            if any(type(e) is not kind for e in entries):
+                raise ValueError("window entries must be polynomials of one class")
             den = math.lcm(*(e.den for e in entries))  # entries in lowest terms: so is the window
             self.num = tuple([add_maps({}, e.num, den // e.den) for e in entries])
-            self.den, self.poly, self.cap = den, kind, cap
+            self.den, self.poly = den, kind
         elif all(isinstance(e, (int, Fraction)) for e in entries):
             self.num, self.den = lowest_terms(*over_common_denominator(entries))
         else:
             raise ValueError("window entries must be rationals or polynomials")
 
     def _over(self, maps: list, den: int) -> "SeqElement":
-        """A window of this one's class and cap from zero-free maps over den, in lowest terms."""
+        """A window of this one's class from zero-free maps over den, in lowest terms."""
         if den != 1:
             g = den
             for m in maps:
@@ -350,7 +349,7 @@ class SeqElement(DenseCarrier):
                 maps = [{k: c // g for k, c in m.items()} for m in maps]
                 den //= g
         s = object.__new__(SeqElement)
-        s.num, s.den, s.poly, s.cap = tuple(maps), den, self.poly, self.cap
+        s.num, s.den, s.poly = tuple(maps), den, self.poly
         return s
 
     def _like(self, nums: list, den: int) -> "SeqElement":
@@ -363,16 +362,16 @@ class SeqElement(DenseCarrier):
         if (
             len(self.num) != len(other.num)
             or type(a) is not type(b)
-            or (type(a) is dict and (self.poly is not other.poly or self.cap != other.cap))
+            or (type(a) is dict and self.poly is not other.poly)
         ):
-            raise ValueError("window lengths, entry kinds or degree caps differ")
+            raise ValueError("window lengths or entry kinds differ")
 
     @property
     def entries(self) -> tuple:
         num, den = self.num, self.den
         if type(num[0]) is int:
             return tuple(Fraction(c, den) for c in num)
-        return tuple(self.poly._of(*_reduced(m, den), self.cap) for m in num)
+        return tuple(self.poly._of(*_reduced(m, den)) for m in num)
 
     def _plus(self, other: "SeqElement", sign: int = 1) -> "SeqElement":
         if type(self.num[0]) is int:
@@ -395,8 +394,8 @@ class SeqElement(DenseCarrier):
         a, b, den = self.num, other.num, self.den * other.den
         if type(a[0]) is int:
             return self._like(list(map(operator.mul, a, b)), den)
-        cap, commutative = itertools.repeat(self.cap), itertools.repeat(self.poly._commutative)
-        return self._over(list(map(multiply_maps, a, b, cap, commutative)), den)
+        commutative = itertools.repeat(self.poly._commutative)
+        return self._over(list(map(multiply_maps, a, b, commutative)), den)
 
     __hash__ = None
 
@@ -419,18 +418,16 @@ def standard_sum_operator(s: SeqElement) -> SeqElement:
 
 
 def finite_difference(s: SeqElement) -> SeqElement:
-    """Forward difference f(n+1) - f(n); the window shrinks by one."""
+    """Forward difference f(n+1) - f(n) of a rational window; the window shrinks by one."""
     num = s.num
     if len(num) < 2:
         raise ValueError("empty window")
-    if type(num[0]) is dict:
-        return s._over(list(map(add_maps, num[1:], num[:-1], itertools.repeat(-1))), s.den)
     return s._like(list(map(operator.sub, num[1:], num[:-1])), s.den)
 
 
-def _standard_algebra(window: int, cap: int, poly) -> RBAlgebra:
+def _standard_algebra(window: int, poly) -> RBAlgebra:
     kind = "comm" if poly is CPoly else "nc"
-    unit, nil = poly.one(cap), poly.zero(cap)
+    unit, nil = poly.one(), poly.zero()
     one = SeqElement([unit] * window)
     zero = SeqElement([nil] * window)
     # scalar indicator sequences: a 1 at one slot, 0 elsewhere
@@ -438,7 +435,7 @@ def _standard_algebra(window: int, cap: int, poly) -> RBAlgebra:
         SeqElement([unit if i == k else nil for i in range(window)]) for k in range(window)
     )
     top = max(window - 1, 1)
-    letters = {k: poly.letter(k, cap).num for k in range(1, top + 1)}
+    letters = {k: poly.letter(k).num for k in range(1, top + 1)}
 
     # sparse draws: one constant c in every slot, plus a multiple of the
     # slot's own letter x_slot at two slots drawn from 1..top, its coefficient
@@ -467,24 +464,22 @@ def _standard_algebra(window: int, cap: int, poly) -> RBAlgebra:
     )
 
 
-def commutative_standard_algebra(window: int = 10, cap: int = 8) -> RBAlgebra:
-    return _standard_algebra(window, cap, CPoly)
+def commutative_standard_algebra(window: int = 10) -> RBAlgebra:
+    return _standard_algebra(window, CPoly)
 
 
-def noncommutative_standard_algebra(window: int = 10, cap: int = 8) -> RBAlgebra:
-    return _standard_algebra(window, cap, NCPoly)
+def noncommutative_standard_algebra(window: int = 10) -> RBAlgebra:
+    return _standard_algebra(window, NCPoly)
 
 
-def standard_generator(window: int = 10, cap: int = 8, kind: str = "comm") -> SeqElement:
+def standard_generator(window: int = 10, kind: str = "comm") -> SeqElement:
     """The sequence (0, x_1, x_2, ...): slot k carries the k-th letter.
 
     Iterated images of this element realize the elementary symmetric
     functions: R^(n) at slot k is e_n(x_1 .. x_{k-1}).
     """
     poly = CPoly if kind == "comm" else NCPoly
-    return SeqElement(
-        [poly.zero(cap)] + [poly.letter(k, cap) for k in range(1, window)]
-    )
+    return SeqElement([poly.zero()] + [poly.letter(k) for k in range(1, window)])
 
 
 def summation_algebra(window: int = 10) -> RBAlgebra:
@@ -629,23 +624,22 @@ def elementary_symmetric_check(n: int, k: int, fixed, nc_fixed, power) -> CheckR
     ``power`` is R(x^n) in the commutative one. Slot k of grade n equals
     e_n(x_1 .. x_{k-1}) and slot k of R(x^n) equals x_1^n + ... + x_{k-1}^n.
     The noncommutative variant replaces e_n by the sum over strictly
-    increasing index words. Window and cap are those of ``fixed.carrier``.
+    increasing index words. The window is that of ``fixed.carrier``.
     """
-    one = fixed.carrier.one
-    window, cap = len(one.num), one.cap
+    window = len(fixed.carrier.one.num)
     if n < 1:
         raise ConfigError("order must be >= 1")
     if k >= window:
         raise ConfigError(f"slot {k} needs window > {k}")
-    if n > cap:
-        raise ConfigError(f"order {n} exceeds degree cap {cap}")
+    if n > fixed.order:
+        raise ConfigError(f"order {n} exceeds the fixed point's order {fixed.order}")
 
     def laws(n, k):
         increasing = {Word(c): Fraction(1) for c in itertools.combinations(range(1, k), n)}
-        yield f"e_{n}", fixed.coefficient(n).entries[k], CPoly(increasing, cap)
+        yield f"e_{n}", fixed.coefficient(n).entries[k], CPoly(increasing)
         got = power.entries[k]
-        yield "power-sum", got, CPoly({Word((i,) * n): Fraction(1) for i in range(1, k)}, cap)
-        yield "ordered-words", nc_fixed.coefficient(n).entries[k], NCPoly(increasing, cap)
+        yield "power-sum", got, CPoly({Word((i,) * n): Fraction(1) for i in range(1, k)})
+        yield "ordered-words", nc_fixed.coefficient(n).entries[k], NCPoly(increasing)
 
     bad = first_failure(fixed.carrier.name, [(n, k)], laws, "nk")
     return CheckResult.of(f"standard-symmetric/n={n}/k={k}", "Eq. (shuffle)", bad)

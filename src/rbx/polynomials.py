@@ -2,10 +2,8 @@
 
 ``NCPoly`` is the free associative algebra: finitely supported maps from words
 to rationals with concatenation product. ``CPoly`` is its commutative quotient,
-keyed by sorted words (monomials read as multisets of letters). Both accept an
-optional degree cap: words longer than the cap are dropped by multiplication.
-Dropping high degrees is a quotient by a graded ideal, so any identity checked
-below the cap is exact, not approximate.
+keyed by sorted words (monomials read as multisets of letters). Every word
+is kept, however long: there is no bound on degree and no truncation.
 
 Coefficients are stored as integer numerators keyed by plain letter tuples
 over one shared denominator (see ``scalars``); ``terms`` presents them as the
@@ -51,13 +49,12 @@ class Word:
         return f"Word({self.letters})"
 
 
-def multiply_maps(a: dict, b: dict, cap: int | None, commutative: bool) -> dict:
+def multiply_maps(a: dict, b: dict, commutative: bool) -> dict:
     """The product of two numerator maps without zeros, as a map without zeros.
 
-    Words longer than the cap are dropped, and commutative products sort
-    their keys. A zero operand gives the zero map and a constant one, which
-    commutes with everything, scales the other, so only two nonconstant maps
-    reach the product loop.
+    Commutative products sort their keys. A zero operand gives the zero map
+    and a constant one, which commutes with everything, scales the other, so
+    only two nonconstant maps reach the product loop.
     """
     if not a or not b:
         return {}
@@ -71,10 +68,7 @@ def multiply_maps(a: dict, b: dict, cap: int | None, commutative: bool) -> dict:
     out: dict = {}
     get = out.get
     for u, cu in a.items():
-        room = None if cap is None else cap - len(u)
         for v, cv in b.items():
-            if room is not None and len(v) > room:
-                continue
             w = u + v
             if commutative:
                 w = tuple(sorted(w))
@@ -108,34 +102,29 @@ class NCPoly(SparseCarrier):
     data.
     """
 
-    __slots__ = ("cap",)
+    __slots__ = ()
 
     _commutative = False
 
-    def __init__(self, terms=None, cap: int | None = None):
+    def __init__(self, terms=None):
         terms = dict(terms or {})
         nums, den = over_common_denominator(terms.values())
         num: dict = {}
         for w, c in zip(terms, nums):
             key = tuple(sorted(w.letters)) if self._commutative else w.letters
-            if cap is None or len(key) <= cap:
-                num[key] = num.get(key, 0) + c
+            num[key] = num.get(key, 0) + c
         self.num, self.den = lowest_terms_sparse(num, den)
-        self.cap = cap
-
-    def _new(self, num: dict, den: int) -> "NCPoly":
-        """A polynomial of this kind and cap, from canonical numerators."""
-        return self._of(num, den, self.cap)
 
     @classmethod
-    def _of(cls, num: dict, den: int, cap: int | None) -> "NCPoly":
+    def _of(cls, num: dict, den: int) -> "NCPoly":
         """A polynomial from canonical numerators keyed by letter tuples: no
-        zeros, lowest terms, no key longer than the cap, sorted keys for CPoly."""
+        zeros, lowest terms, sorted keys for CPoly."""
         p = object.__new__(cls)
         p.num = num
         p.den = den
-        p.cap = cap
         return p
+
+    _new = _of
 
     @property
     def terms(self) -> dict:
@@ -143,26 +132,25 @@ class NCPoly(SparseCarrier):
         return {Word(w): Fraction(c, den) for w, c in self.num.items()}
 
     @classmethod
-    def zero(cls, cap: int | None = None) -> "NCPoly":
-        return cls({}, cap)
+    def zero(cls) -> "NCPoly":
+        return cls._of({}, 1)
 
     @classmethod
-    def one(cls, cap: int | None = None) -> "NCPoly":
-        return cls({Word(): Fraction(1)}, cap)
+    def one(cls) -> "NCPoly":
+        return cls._of({(): 1}, 1)
 
     @classmethod
-    def letter(cls, a: int, cap: int | None = None) -> "NCPoly":
-        return cls({Word((a,)): Fraction(1)}, cap)
+    def letter(cls, a: int) -> "NCPoly":
+        return cls.from_word(Word((a,)))
 
     @classmethod
     def from_word(cls, w: Word) -> "NCPoly":
-        """The word w with coefficient 1, uncapped."""
+        """The word w with coefficient 1."""
         key = tuple(sorted(w.letters)) if cls._commutative else w.letters
-        return cls._of({key: 1}, 1, None)
+        return cls._of({key: 1}, 1)
 
     def _match_shape(self, other: "NCPoly") -> None:
-        if self.cap != other.cap:
-            raise ValueError("degree caps differ")
+        """Polynomials of one class all have one shape."""
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         self._match(other)
@@ -170,7 +158,7 @@ class NCPoly(SparseCarrier):
 
     def _times(self, other: "NCPoly") -> "NCPoly":
         """self * other, for an operand ``_match`` has accepted."""
-        num = multiply_maps(self.num, other.num, self.cap, self._commutative)
+        num = multiply_maps(self.num, other.num, self._commutative)
         return self._new(*_reduced(num, self.den * other.den))
 
     def __str__(self) -> str:

@@ -57,10 +57,10 @@ def test_criterion_01_rb_laws_exhaustive_and_seeded():
 
 def test_criterion_02_spitzer_commutative_order_five():
     start = time.monotonic()
-    alg = commutative_standard_algebra(8, 6)
+    alg = commutative_standard_algebra(8)
     rng = random.Random(42)
     results = [
-        spitzer_check_commutative(alg, standard_generator(8, 6), 5),
+        spitzer_check_commutative(alg, standard_generator(8), 5),
         spitzer_check_commutative(alg, alg.one + alg.basis[1], 5),
         spitzer_check_commutative(alg, alg.random_element(rng), 5),
     ]
@@ -82,7 +82,7 @@ def test_criterion_03_noncommutative_spitzer_order_four():
     rng = random.Random(42)
     sources += [alg.random_element(rng) for _ in range(50)]
     results = [check_nc_spitzer(alg, x, 4) for x in sources]
-    seq = noncommutative_standard_algebra(10, 8)
+    seq = noncommutative_standard_algebra(10)
     results.append(check_nc_spitzer(seq, seq.one + seq.basis[1], 4))
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
@@ -94,8 +94,8 @@ def test_criterion_04_magnus_displayed_coefficients():
     # a small window keeps the rendered counterexample readable; the claim
     # is symbolic in the generator, so the window size carries no content
     start = time.monotonic()
-    alg = noncommutative_standard_algebra(4, 8)
-    x = standard_generator(4, 8, "nc")
+    alg = noncommutative_standard_algebra(4)
+    x = standard_generator(4, "nc")
     omega = prelie_magnus(alg, x, 4).omega
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

@@ -1,5 +1,6 @@
 """Command line parsing, suite orchestration, report emission, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,12 @@ from rbx.models import RatMatrix, matrix_algebra, noncommutative_standard_algebr
 from rbx.report import Report
 
 FAST = ["--trials", "5"]
+
+# `python -m rbx.cli verify <EXTREME> | grep -v elapsed_ms | sha256sum`: the
+# flags at which products reach the longest words of any CLI run
+EXTREME = ["--suite", "all", "--seed", "42", "--order", "8", "--window", "16", "--dim", "4",
+           "--alphabet", "9", "--bs-arity", "6", "--format", "json"]
+EXTREME_SHA256 = "065b5c11c24bb17284c8d35815be70a98c5f6e823466060867ed4e58d7b2401e"
 
 ALL_MODELS = ("standard-comm", "standard-nc", "laurent", "matrix", "integration", "summation")
 
@@ -294,6 +301,16 @@ class TestMain:
         assert rc == 2
         assert err.startswith("error:")
 
+    def test_exit_two_on_an_argparse_error(self, capsys):
+        # "-5/7" reads as an option, so --weight has no argument: main returns
+        # argparse's exit code instead of raising it
+        rc = main(["verify", "--suite", "rb-laws", "--weight", "-5/7"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "rbx verify: error: argument --weight: expected one argument"
+        ]
+
     def test_exit_two_on_a_config_file_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "bad.conf"
         path.write_bytes(b"\xff")
@@ -346,7 +363,7 @@ class TestMain:
         assert "PASS" not in captured.out
 
     def test_counterexamples_are_cut_and_show_both_sides(self, capsys):
-        nc = noncommutative_standard_algebra(10, 8)
+        nc = noncommutative_standard_algebra(10)
         doubled = replace(nc, rb=lambda x: 2 * nc.rb(x))
         argv = ["verify", "--suite", "magnus", "--format", "json"]
         rc = main(argv, models={"standard-nc": doubled})
@@ -402,6 +419,12 @@ class TestMain:
             assert check["anchor"].startswith("Eq. (")
         names = [c["name"] for c in payload["checks"]]
         assert names == sorted(names)
+
+    def test_extreme_flag_report_is_pinned(self, capsys):
+        assert main(["verify"] + EXTREME) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        body = "".join(line for line in lines if "elapsed_ms" not in line)
+        assert hashlib.sha256(body.encode()).hexdigest() == EXTREME_SHA256
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

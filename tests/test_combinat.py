@@ -243,7 +243,7 @@ def _hoffman_oracle(alpha: MonoidAlphabet):
 
 
 def _stored(p: NCPoly) -> tuple:
-    return type(p), p.num, p.den, p.cap
+    return type(p), p.num, p.den
 
 
 def test_quasi_shuffle_matches_the_hoffman_recursion():

@@ -86,8 +86,8 @@ class TestAtkinson:
             (laurent_algebra(12, 12), LaurentElement({-1: 1, 0: 1}, 12, 12)),
             (integration_algebra(), integration_algebra().basis[1]),
             (
-                commutative_standard_algebra(6, 6),
-                standard_generator(6, 6),
+                commutative_standard_algebra(6),
+                standard_generator(6),
             ),
         ]
         for alg, x in cases:
@@ -109,7 +109,7 @@ class TestSpitzerCommutative:
     def test_closed_form_across_weights(self):
         # weight 1, -1 and 0 carriers, same closed form
         cases = [
-            (commutative_standard_algebra(8, 6), standard_generator(8, 6)),
+            (commutative_standard_algebra(8), standard_generator(8)),
             (summation_algebra(8), summation_algebra(8).basis[1]),
             (laurent_algebra(20, 20), LaurentElement({-1: 1, 0: 1}, 20, 20)),
             (integration_algebra(), integration_algebra().basis[1]),
@@ -143,8 +143,8 @@ class TestMagnus:
 
     def test_grade_four_reduction(self):
         # in the reduced basis the two surviving chains carry 1/6 and 1/12
-        alg = noncommutative_standard_algebra(6, 8)
-        x = standard_generator(6, 8, "nc")
+        alg = noncommutative_standard_algebra(6)
+        x = standard_generator(6, "nc")
         p = lambda a, b: prelie_left(alg, a, b)
         xx = p(x, x)
         omega = prelie_magnus(alg, x, 4).omega
@@ -155,8 +155,8 @@ class TestMagnus:
         # no recursion here: in a commutative algebra x |> y = -theta xy, so
         # both chains equal -theta^3 x^4 and the reduced form must give the
         # grade-4 term -theta^3 x^4 / 4 of theta^-1 log(1 + theta x)
-        alg = commutative_standard_algebra(6, 8)
-        x = standard_generator(6, 8, "comm")
+        alg = commutative_standard_algebra(6)
+        x = standard_generator(6, "comm")
         p = lambda a, b: prelie_left(alg, a, b)
         xx = p(x, x)
         chains = (p(p(xx, x), x), p(x, p(xx, x)))
@@ -187,7 +187,7 @@ class TestNCSpitzer:
         assert res.status == "pass", res.counterexample
 
     def test_standard_nc(self):
-        alg = noncommutative_standard_algebra(5, 6)
+        alg = noncommutative_standard_algebra(5)
         x = alg.one + alg.basis[1]
         res = check_nc_spitzer(alg, x, 3)
         assert res.status == "pass", res.counterexample

@@ -28,7 +28,7 @@ def _nonlinear(alg, weight=None):
 MATRIX = _nonlinear(matrix_algebra(3))  # weight -1, noncommutative
 MATRIX0 = _nonlinear(matrix_algebra(3), 0)  # weight 0, noncommutative
 INTEGRATION = _nonlinear(integration_algebra(200))  # weight 0, commutative
-STANDARD = _nonlinear(noncommutative_standard_algebra(4, 8))  # weight 1, word polynomials
+STANDARD = _nonlinear(noncommutative_standard_algebra(4))  # weight 1, word polynomials
 
 
 def _recorded(monkeypatch, check, *args) -> list:

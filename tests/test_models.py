@@ -34,11 +34,11 @@ from rbx.models import (
 from rbx.polynomials import CPoly, NCPoly, Word
 
 
-def _symmetric_inputs(window: int, cap: int) -> tuple:
+def _symmetric_inputs(window: int) -> tuple:
     """The commutative carrier, its generator, and the left fixed points of
     the generator to grade 4 in both standard algebras."""
-    comm, gen = commutative_standard_algebra(window, cap), standard_generator(window, cap)
-    nc, nc_gen = noncommutative_standard_algebra(window, cap), standard_generator(window, cap, "nc")
+    comm, gen = commutative_standard_algebra(window), standard_generator(window)
+    nc, nc_gen = noncommutative_standard_algebra(window), standard_generator(window, "nc")
     fixed = solve_fixed_point(comm, gen, SIDE_LEFT, 4)
     return comm, gen, fixed, solve_fixed_point(nc, nc_gen, SIDE_LEFT, 4)
 
@@ -149,14 +149,12 @@ class TestSeqElement:
         with pytest.raises(ValueError):
             SeqElement([Fraction(1)]) + SeqElement([Fraction(1), Fraction(2)])
 
-    def test_entries_are_rationals_or_one_polynomial_class_and_cap(self):
+    def test_entries_are_rationals_or_one_polynomial_class(self):
         bad = (
-            [NCPoly.one(8), Fraction(1)],
-            [Fraction(1), NCPoly.one(8)],
-            [NCPoly.one(8), NCPoly.one(4)],
-            [NCPoly.one(8), NCPoly.one(None)],
-            [NCPoly.one(8), CPoly.one(8)],
-            [CPoly.one(8), NCPoly.one(8)],
+            [NCPoly.one(), Fraction(1)],
+            [Fraction(1), NCPoly.one()],
+            [NCPoly.one(), CPoly.one()],
+            [CPoly.one(), NCPoly.one()],
             [Fraction(1), "1/2"],
             [1.5],
         )
@@ -164,25 +162,18 @@ class TestSeqElement:
             with pytest.raises(ValueError):
                 SeqElement(entries)
         assert SeqElement([1, Fraction(1, 2)]).entries == (1, Fraction(1, 2))
-        assert SeqElement([CPoly.one(4), CPoly.zero(4)]).entries == (CPoly.one(4), CPoly.zero(4))
-
-    def test_polynomial_windows_of_different_caps_do_not_combine(self):
-        a = noncommutative_standard_algebra(3, 4).one
-        b = noncommutative_standard_algebra(3, 8).one
-        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a == b):
-            with pytest.raises(ValueError):
-                op()
+        assert SeqElement([CPoly.one(), CPoly.zero()]).entries == (CPoly.one(), CPoly.zero())
 
     def test_only_rationals_scale_a_window(self):
-        for w in (noncommutative_standard_algebra(3, 4).one, summation_algebra(3).one):
-            assert w.__rmul__(NCPoly.one(4)) is NotImplemented
+        for w in (noncommutative_standard_algebra(3).one, summation_algebra(3).one):
+            assert w.__rmul__(NCPoly.one()) is NotImplemented
             assert w.__rmul__(1.5) is NotImplemented
             with pytest.raises(TypeError):
                 1.5 * w
 
     def test_windows_are_unhashable(self):
         assert SeqElement.__hash__ is None
-        for s in (SeqElement([Fraction(1)]), standard_generator(3, 4)):
+        for s in (SeqElement([Fraction(1)]), standard_generator(3)):
             with pytest.raises(TypeError):
                 hash(s)
 
@@ -216,23 +207,21 @@ class TestSummation:
 
 class TestStandardAlgebra:
     def test_partial_sums_of_the_generator(self):
-        gen = standard_generator(4, 8)
+        gen = standard_generator(4)
         got = standard_sum_operator(gen)
-        x = lambda k: CPoly.letter(k, 8)
-        assert got == SeqElement(
-            [CPoly.zero(8), CPoly.zero(8), x(1), x(1) + x(2)]
-        )
+        x = CPoly.letter
+        assert got == SeqElement([CPoly.zero(), CPoly.zero(), x(1), x(1) + x(2)])
 
     def test_iterated_sums_give_elementary_symmetric(self):
-        alg = commutative_standard_algebra(4, 8)
-        gen = standard_generator(4, 8)
+        alg = commutative_standard_algebra(4)
+        gen = standard_generator(4)
         second = alg.rb(alg.rb(gen) * gen)
-        assert second.entries[3] == CPoly({Word((1, 2)): Fraction(1)}, 8)
+        assert second.entries[3] == CPoly({Word((1, 2)): Fraction(1)})
 
     def test_left_fixed_point_grades_are_iterated_sums(self):
         kinds = ((commutative_standard_algebra, "comm"), (noncommutative_standard_algebra, "nc"))
         for make, kind in kinds:
-            alg, gen = make(6, 8), standard_generator(6, 8, kind)
+            alg, gen = make(6), standard_generator(6, kind)
             fixed = solve_fixed_point(alg, gen, SIDE_LEFT, 4)
             iterated = alg.rb(gen)
             for n in range(1, 5):
@@ -240,32 +229,32 @@ class TestStandardAlgebra:
                 iterated = alg.rb(iterated * gen)
 
     def test_elementary_symmetric_check_passes(self):
-        comm, gen, fixed, nc_fixed = _symmetric_inputs(6, 8)
+        comm, gen, fixed, nc_fixed = _symmetric_inputs(6)
         for n in (1, 2, 3):
             power = comm.rb(gen**n)
             for k in (3, 5):
                 assert elementary_symmetric_check(n, k, fixed, nc_fixed, power).status == "pass"
 
     def test_elementary_symmetric_check_bounds(self):
-        comm, gen, fixed, nc_fixed = _symmetric_inputs(10, 8)
+        comm, gen, fixed, nc_fixed = _symmetric_inputs(10)
         power = comm.rb(gen)  # never read: each call is refused first
         with pytest.raises(ConfigError, match="order must be >= 1"):
             elementary_symmetric_check(0, 3, fixed, nc_fixed, power)
         with pytest.raises(ConfigError, match="slot 10 needs window > 10"):
             elementary_symmetric_check(1, 10, fixed, nc_fixed, power)
-        with pytest.raises(ConfigError, match="order 9 exceeds degree cap 8"):
-            elementary_symmetric_check(9, 3, fixed, nc_fixed, power)
+        with pytest.raises(ConfigError, match="order 5 exceeds the fixed point's order 4"):
+            elementary_symmetric_check(5, 3, fixed, nc_fixed, power)
 
     def test_rb_law_noncommutative(self):
-        alg = noncommutative_standard_algebra(5, 6)
-        gen = standard_generator(5, 6, "nc")
+        alg = noncommutative_standard_algebra(5)
+        gen = standard_generator(5, "nc")
         assert _rb_law_holds(alg, gen, gen)
         assert _rb_law_holds(alg, alg.rb(gen), gen)
 
     def test_nested_sums_realize_the_quasi_shuffle(self):
-        alg = commutative_standard_algebra(6, 8)
-        gen = standard_generator(6, 8)
-        x = lambda k: CPoly.letter(k, 8)
+        alg = commutative_standard_algebra(6)
+        gen = standard_generator(6)
+        x = CPoly.letter
         one_sum = nested_sum_encoding(alg, gen, Word((1,)))
         assert one_sum.entries[3] == x(1) + x(2)
         u, v = Word((1,)), Word((2,))
@@ -323,34 +312,33 @@ SHAPES = {
     "matrix dims": (RatMatrix.identity(2), RatMatrix.identity(3), ValueError),
     "summation windows": (summation_algebra(3).one, summation_algebra(4).one, ValueError),
     "standard windows": (
-        noncommutative_standard_algebra(3, 4).one,
-        noncommutative_standard_algebra(4, 4).one,
+        noncommutative_standard_algebra(3).one,
+        noncommutative_standard_algebra(4).one,
         ValueError,
     ),
     "polynomial caps": (PolyFunction([1], 24), PolyFunction([1], 30), ValueError),
     "laurent bounds": (LaurentElement({0: 1}, 4, 6), LaurentElement({0: 1}, 4, 8), ValueError),
-    "word caps": (NCPoly.one(4), NCPoly.one(5), ValueError),
-    "nc against comm": (NCPoly.one(4), CPoly.one(4), False),
-    "comm against nc": (CPoly.one(4), NCPoly.one(4), False),
+    "nc against comm": (NCPoly.one(), CPoly.one(), False),
+    "comm against nc": (CPoly.one(), NCPoly.one(), False),
     "matrix against polynomial": (RatMatrix.identity(2), PolyFunction([1]), False),
     "polynomial against matrix": (PolyFunction([1]), RatMatrix.identity(2), False),
-    "laurent against words": (LaurentElement({0: 1}, 4, 6), NCPoly.one(4), False),
-    "words against laurent": (NCPoly.one(4), LaurentElement({0: 1}, 4, 6), False),
-    "polynomial against words": (PolyFunction([1], 4), NCPoly.one(4), False),
+    "laurent against words": (LaurentElement({0: 1}, 4, 6), NCPoly.one(), False),
+    "words against laurent": (NCPoly.one(), LaurentElement({0: 1}, 4, 6), False),
+    "polynomial against words": (PolyFunction([1], 4), NCPoly.one(), False),
     "summation against standard window": (
         SeqElement([Fraction(1, 2)] * 3),
-        noncommutative_standard_algebra(3, 4).one,
+        noncommutative_standard_algebra(3).one,
         ValueError,
     ),
     "nc window against comm window": (
-        noncommutative_standard_algebra(3, 4).one,
-        commutative_standard_algebra(3, 4).one,
+        noncommutative_standard_algebra(3).one,
+        commutative_standard_algebra(3).one,
         ValueError,
     ),
     "summation against matrix": (summation_algebra(3).one, RatMatrix.identity(2), False),
     "matrix against summation": (RatMatrix.identity(2), summation_algebra(3).one, False),
-    "standard window against words": (noncommutative_standard_algebra(3, 4).one, NCPoly.one(4), False),
-    "words against standard window": (NCPoly.one(4), noncommutative_standard_algebra(3, 4).one, False),
+    "standard window against words": (noncommutative_standard_algebra(3).one, NCPoly.one(), False),
+    "words against standard window": (NCPoly.one(), noncommutative_standard_algebra(3).one, False),
 }
 
 

@@ -45,16 +45,7 @@ class TestNCPoly:
         assert p.terms == {Word((2,)): Fraction(3)}
         assert NCPoly({Word((1,)): Fraction(0)}) == NCPoly.zero()
 
-    def test_cap_truncates_construction_and_product(self):
-        assert NCPoly({Word((1, 2, 3)): Fraction(1)}, cap=2) == NCPoly.zero(cap=2)
-        p = NCPoly.letter(1, cap=2)
-        q = p * p
-        assert q.terms == {Word((1, 1)): 1}
-        assert q * p == NCPoly.zero(cap=2)
-
     def test_mismatched_operands_raise(self):
-        with pytest.raises(ValueError):
-            NCPoly.letter(1) + NCPoly.letter(1, cap=4)
         with pytest.raises(ValueError):
             NCPoly.letter(1) * CPoly.letter(1)
 
