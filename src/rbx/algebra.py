@@ -18,7 +18,10 @@ Every check in the package states its laws as (law, lhs, rhs) triples;
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import signal
+import threading
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -172,15 +175,16 @@ def _cut(value) -> str:
     return text if len(text) <= CUT else f"{text[:CUT]}...[{len(text)} chars]"
 
 
-def first_failure(model: str, samples, laws, names) -> str | None:
-    """``model=..; law=..; <name>=<input>..; lhs=..; rhs=..; diff=<lhs - rhs>``
-    for the first (law, lhs, rhs) of ``laws(*sample)`` with lhs != rhs, each
-    value cut at CUT characters; None if all hold. Law values must support
-    ``==`` and ``-``. No later law or sample is evaluated. An empty sample
-    raises ``ConfigError``: it would check nothing.
-    """
-    if not samples:
-        raise ConfigError(f"model {model}: the sample is empty, so no law would be checked")
+# the fewest samples first_failure splits across two processes: a fork round trip
+# costs about 1 ms, and the exact counts of a 16-pair check must stay in one process
+SPLIT_AT = 32
+
+# set in a forked child only, so that a child never forks again
+_forked = False
+
+
+def _first_in(model: str, samples, laws, names) -> str | None:
+    """first_failure's verdict on ``samples``, evaluated in order in this process."""
     for sample in samples:
         for law, lhs, rhs in laws(*sample):
             if not lhs == rhs:
@@ -188,6 +192,77 @@ def first_failure(model: str, samples, laws, names) -> str | None:
                 shown += [("lhs", _cut(lhs)), ("rhs", _cut(rhs)), ("diff", _cut(lhs - rhs))]
                 return "; ".join(f"{key}={value}" for key, value in shown)
     return None
+
+
+def _may_fork() -> bool:
+    """A second process pays only with a second CPU to run it. A child never
+    forks, and neither does a process with threads, which fork cannot copy."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    return not _forked and hasattr(os, "fork") and len(cpus) >= 2 and threading.active_count() == 1
+
+
+def _child_verdict(write_end: int, model: str, samples, laws, names):
+    """In a forked child: write b"P" for a pass or b"F" and the rendered failure
+    to ``write_end``, then exit 0; exit 1 having written nothing if the
+    evaluation raised. ``os._exit`` leaves the parent's stdio buffers unflushed."""
+    global _forked
+    _forked, code = True, 1
+    try:
+        bad = _first_in(model, samples, laws, names)
+        with open(write_end, "wb") as pipe:
+            pipe.write(b"P" if bad is None else b"F" + bad.encode())
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def first_failure(model: str, samples, laws, names) -> str | None:
+    """``model=..; law=..; <name>=<input>..; lhs=..; rhs=..; diff=<lhs - rhs>``
+    for the first (law, lhs, rhs) of ``laws(*sample)`` with lhs != rhs, each
+    value cut at CUT characters; None if all hold. Law values must support
+    ``==`` and ``-``. An empty sample raises ``ConfigError``: it would check
+    nothing.
+
+    From SPLIT_AT samples on, on a machine with two CPUs, a forked child
+    evaluates the later half while this process evaluates the earlier one. The
+    child's outcome is read only if every earlier sample passed, so the verdict
+    is always the serial one. A child that raised or died, or a fork that
+    failed, leaves its half to this process, which then raises what serial
+    evaluation raises. The child is reaped on every path.
+    """
+    if not samples:
+        raise ConfigError(f"model {model}: the sample is empty, so no law would be checked")
+    if len(samples) < SPLIT_AT or not _may_fork():
+        return _first_in(model, samples, laws, names)
+    half = len(samples) // 2
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return _first_in(model, samples, laws, names)
+    if pid == 0:
+        os.close(read_end)
+        _child_verdict(write_end, model, samples[half:], laws, names)
+    os.close(write_end)
+    status = None
+    try:
+        with open(read_end, "rb") as pipe:
+            bad = _first_in(model, samples[:half], laws, names)
+            if bad is not None:
+                return bad
+            verdict = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:  # this half failed or raised, so the child's outcome is moot
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if status == 0 and verdict[:1] == b"P":
+        return None
+    if status == 0 and verdict[:1] == b"F":
+        return verdict[1:].decode()
+    return _first_in(model, samples[half:], laws, names)
 
 
 def check_rb_law(alg: RBAlgebra, plan: SamplePlan, name: str | None = None) -> CheckResult:

@@ -13,6 +13,8 @@ import json
 import sys
 from dataclasses import dataclass, field
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -98,5 +100,8 @@ def emit_report(report: Report, fmt: str = "text", path: str | None = None) -> N
     if path is None:
         sys.stdout.write(rendered)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {path}: {exc}") from exc

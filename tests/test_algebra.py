@@ -1,7 +1,9 @@
 """Derived structure of a weighted Rota-Baxter operator."""
 
 import itertools
+import os
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -240,6 +242,131 @@ class TestFirstFailure:
         for check in (check_rb_law, check_double_assoc_and_hom):
             with pytest.raises(ConfigError):
                 check(empty, EX)
+
+
+class TestFirstFailureFork:
+    """From SPLIT_AT samples on, a forked child evaluates the later half. The
+    verdict is the serial one on every path, and no child outlives the call."""
+
+    SAMPLES = [(i, i + 1) for i in range(10)]  # the child takes samples 5..9
+
+    @pytest.fixture(autouse=True)
+    def forks(self, monkeypatch):
+        """The pids that forked, with forking on from 4 samples on any machine."""
+        forked, fork = [], os.fork
+
+        def counted_fork():
+            forked.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(algebra, "SPLIT_AT", 4)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield forked
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _serial(monkeypatch, samples, laws):
+        with monkeypatch.context() as serial:
+            serial.setattr(algebra, "SPLIT_AT", len(samples) + 1)
+            return first_failure("ints", samples, laws, "ab")
+
+    def test_all_samples_pass(self, forks):
+        laws = lambda a, b: [("sum", a + b, b + a)]
+        assert first_failure("ints", self.SAMPLES, laws, "ab") is None
+        assert forks == [os.getpid()]
+
+    def test_a_failure_in_the_childs_half_crosses_the_pipe(self, forks, monkeypatch):
+        laws = lambda a, b: [("θ-law", a, a if a < 7 else -a)]
+        bad = first_failure("ints", self.SAMPLES, laws, "ab")
+        assert bad == self._serial(monkeypatch, self.SAMPLES, laws)
+        assert bad == "model=ints; law=θ-law; a=7; b=8; lhs=7; rhs=-7; diff=14"
+        assert forks == [os.getpid()]
+
+    def test_a_failure_in_the_parents_half_wins_over_a_raise_in_the_childs(self, forks):
+        def laws(a, b):
+            if a >= 5:
+                raise ZeroDivisionError("the child's half")
+            yield "law", a, a if a != 1 else 0
+
+        bad = first_failure("ints", self.SAMPLES, laws, "ab")
+        assert bad == "model=ints; law=law; a=1; b=2; lhs=1; rhs=0; diff=1"
+        assert forks == [os.getpid()]
+
+    def test_an_interrupt_in_the_parents_half_reaps_the_child(self, forks):
+        parent = os.getpid()
+
+        def laws(a, b):
+            if a == 2 and os.getpid() == parent:
+                raise KeyboardInterrupt
+            yield "law", a, a
+
+        with pytest.raises(KeyboardInterrupt):
+            first_failure("ints", self.SAMPLES, laws, "ab")
+        assert forks == [parent]
+
+    def test_a_raise_in_the_childs_half_is_raised_again_in_process(self, forks, monkeypatch):
+        def laws(a, b):
+            if a == 7:
+                raise ConfigError(f"no law at a={a}")
+            yield "law", a, a
+
+        with pytest.raises(ConfigError, match="^no law at a=7$"):
+            self._serial(monkeypatch, self.SAMPLES, laws)
+        with pytest.raises(ConfigError, match="^no law at a=7$"):
+            first_failure("ints", self.SAMPLES, laws, "ab")
+        assert forks == [os.getpid()]
+
+    def test_a_child_that_dies_leaves_its_half_to_the_parent(self, forks, monkeypatch):
+        parent = os.getpid()
+
+        def laws(a, b):
+            if os.getpid() != parent:
+                os._exit(3)
+            yield "law", a, a if a < 8 else 0
+
+        bad = first_failure("ints", self.SAMPLES, laws, "ab")
+        assert bad == self._serial(monkeypatch, self.SAMPLES, laws)
+        assert bad.startswith("model=ints; law=law; a=8;")
+        assert forks == [parent]
+
+    def test_a_failed_fork_evaluates_in_order(self, monkeypatch):
+        seen = []
+
+        def refused():
+            raise OSError("no fork")
+
+        def laws(a, b):
+            seen.append(a)
+            yield "law", a, a if a != 6 else 0
+
+        monkeypatch.setattr(os, "fork", refused)
+        bad = first_failure("ints", self.SAMPLES, laws, "ab")
+        assert bad == "model=ints; law=law; a=6; b=7; lhs=6; rhs=0; diff=6"
+        assert seen == [0, 1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("broken", [False, True], ids=["shipped", "matrix-2P"])
+    def test_whole_suites_report_the_same_bytes_split_or_not(self, broken, forks, monkeypatch):
+        """Every check of five suites at 40 trials, each multi-sample check
+        forked, against the same run with forking off."""
+        argv = ["verify", "--trials", "40", "--format", "json"]
+        doubled = replace(M3, rb=lambda m: 2 * models.triangular_projection(m))
+        chosen = {"matrix": doubled} if broken else None
+
+        def bodies(split_at):
+            monkeypatch.setattr(algebra, "SPLIT_AT", split_at)
+            out = []
+            for suite in ("rb-laws", "prelie", "dendriform", "yang-baxter", "atkinson"):
+                report = cli.run_suite(cli.parse_config(argv + ["--suite", suite]), chosen)
+                report.elapsed_ms = 0
+                out.append(report.to_json())
+            return out
+
+        split = bodies(2)
+        assert len(forks) > 50
+        assert split == bodies(sys.maxsize)
+        assert any('"status": "fail"' in body for body in split) == broken
 
 
 def _doubled(alg):

@@ -398,10 +398,26 @@ class TestMain:
         assert "RuntimeWarning" not in proc.stderr
 
     def test_exit_two_on_unwritable_output(self, tmp_path, capsys):
-        target = tmp_path / "missing" / "report.json"
-        rc = main(["verify", "--suite", "shuffle", "--output", str(target)] + FAST)
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        for target in (tmp_path / "missing" / "report.json", tmp_path):
+            rc = main(["verify", "--suite", "shuffle", "--output", str(target)] + FAST)
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot write report to {target}: ")
+
+    def test_piped_text_report_is_written_once(self):
+        """Checks of 40 samples fork; the children leave the parent's stdout alone."""
+        import rbx
+
+        argv = ["verify", "--suite", "rb-laws", "--trials", "40"]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rbx.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rbx.cli"] + argv,
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        body = lambda text: [line for line in text.splitlines() if "elapsed_ms" not in line]
+        lines = body(proc.stdout)
+        assert lines == body(run_suite(parse_config(argv)).to_text())
+        assert len(lines) == len(set(lines)) > 30
 
     def test_json_schema(self, capsys):
         rc = main(["verify", "--suite", "quasi-shuffle", "--format", "json"] + FAST)
