@@ -175,12 +175,13 @@ def _cut(value) -> str:
     return text if len(text) <= CUT else f"{text[:CUT]}...[{len(text)} chars]"
 
 
-# the fewest samples first_failure splits across two processes: a fork round trip
-# costs about 1 ms, and the exact counts of a 16-pair check must stay in one process
-SPLIT_AT = 32
+# (this process's share, run-wide sample counter) in a split run; None outside
+# one, in its serial rerun and while a check evaluates its laws
+_share = None
 
-# set in a forked child only, so that a child never forks again
-_forked = False
+
+class _Diverged(BaseException):
+    """A split run met a failure: only a serial rerun renders the serial verdict."""
 
 
 def _first_in(model: str, samples, laws, names) -> str | None:
@@ -194,26 +195,53 @@ def _first_in(model: str, samples, laws, names) -> str | None:
     return None
 
 
-def _may_fork() -> bool:
-    """A second process pays only with a second CPU to run it. A child never
-    forks, and neither does a process with threads, which fork cannot copy."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    return not _forked and hasattr(os, "fork") and len(cpus) >= 2 and threading.active_count() == 1
+def split_run(job):
+    """job(), run at once by this process and one forked child, each evaluating
+    its share of the samples of every top-level first_failure call: run-wide
+    sample i is the child's when i has an odd number of 1 bits (the Thue-Morse
+    sequence, which evens out runs of alternately cheap and costly checks).
 
-
-def _child_verdict(write_end: int, model: str, samples, laws, names):
-    """In a forked child: write b"P" for a pass or b"F" and the rendered failure
-    to ``write_end``, then exit 0; exit 1 having written nothing if the
-    evaluation raised. ``os._exit`` leaves the parent's stdio buffers unflushed."""
-    global _forked
-    _forked, code = True, 1
+    This process returns its own result once the child reports that its share
+    passed. On a failure or an exception in either process it kills and reaps
+    the child and reruns job() serially, so every result, counterexample and
+    exception is the serial one. job() runs serially without ``os.fork``, a
+    second CPU or a fork that succeeds, in a process with threads (fork copies
+    only the calling one) and inside a split run.
+    """
+    global _share
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if _share is not None or cpus < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return job()
+    read_end, write_end = os.pipe()
     try:
-        bad = _first_in(model, samples, laws, names)
-        with open(write_end, "wb") as pipe:
-            pipe.write(b"P" if bad is None else b"F" + bad.encode())
-        code = 0
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return job()
+    if pid == 0:  # os._exit leaves the parent's stdio buffers unflushed
+        os.close(read_end)
+        code, _share = 1, (1, itertools.count())
+        try:
+            job()
+            os.write(write_end, b"P")
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            _share = 0, itertools.count()
+            result = job()
+            if pipe.read() == b"P":
+                return result
+    except (Exception, _Diverged):
+        pass
     finally:
-        os._exit(code)
+        _share = None
+        os.kill(pid, signal.SIGKILL)  # no effect on a child that has exited
+        os.waitpid(pid, 0)
+    return job()
 
 
 def first_failure(model: str, samples, laws, names) -> str | None:
@@ -223,46 +251,24 @@ def first_failure(model: str, samples, laws, names) -> str | None:
     ``==`` and ``-``. An empty sample raises ``ConfigError``: it would check
     nothing.
 
-    From SPLIT_AT samples on, on a machine with two CPUs, a forked child
-    evaluates the later half while this process evaluates the earlier one. The
-    child's outcome is read only if every earlier sample passed, so the verdict
-    is always the serial one. A child that raised or died, or a fork that
-    failed, leaves its half to this process, which then raises what serial
-    evaluation raises. The child is reaped on every path.
+    Inside ``split_run`` a call evaluates only this process's share of the
+    samples and ends the split where that share fails. A call made while laws
+    are evaluated evaluates every sample, so a law value is always exact.
     """
+    global _share
     if not samples:
         raise ConfigError(f"model {model}: the sample is empty, so no law would be checked")
-    if len(samples) < SPLIT_AT or not _may_fork():
-        return _first_in(model, samples, laws, names)
-    half = len(samples) // 2
-    read_end, write_end = os.pipe()
+    share, _share = _share, None
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return _first_in(model, samples, laws, names)
-    if pid == 0:
-        os.close(read_end)
-        _child_verdict(write_end, model, samples[half:], laws, names)
-    os.close(write_end)
-    status = None
-    try:
-        with open(read_end, "rb") as pipe:
-            bad = _first_in(model, samples[:half], laws, names)
-            if bad is not None:
-                return bad
-            verdict = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-    finally:
-        if status is None:  # this half failed or raised, so the child's outcome is moot
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if status == 0 and verdict[:1] == b"P":
+        if share is None:
+            return _first_in(model, samples, laws, names)
+        mine, index = share
+        picked = (s for s, i in zip(samples, index) if i.bit_count() & 1 == mine)
+        if _first_in(model, picked, laws, names) is not None:
+            raise _Diverged
         return None
-    if status == 0 and verdict[:1] == b"F":
-        return verdict[1:].decode()
-    return _first_in(model, samples[half:], laws, names)
+    finally:
+        _share = share
 
 
 def check_rb_law(alg: RBAlgebra, plan: SamplePlan, name: str | None = None) -> CheckResult:

@@ -36,6 +36,7 @@ from .algebra import (
     check_weight_rescale,
     first_failure,
     prelie_left,
+    split_run,
 )
 from .combinat import (
     MonoidAlphabet,
@@ -690,7 +691,7 @@ def run_suite(cfg: SuiteConfig, models: dict | None = None) -> Report:
     names = SUITES if cfg.suite == "all" else (cfg.suite,)
     # every suite's picks first, so a bad --model or --weight is refused before any suite runs
     picks = {name: _select(cfg, registry, name) for name in names}
-    checks = [check for name in names for check in _SUITE_TABLE[name](cfg, registry, picks[name])]
+    checks = split_run(lambda: [c for n in names for c in _SUITE_TABLE[n](cfg, registry, picks[n])])
     elapsed_ms = int((time.monotonic() - started) * 1000)
     params = {key: getattr(cfg, key) for key in _KEYS if key not in ("format", "output")}
     params["weight"] = None if cfg.weight is None else str(cfg.weight)

@@ -1,9 +1,9 @@
 """Derived structure of a weighted Rota-Baxter operator."""
 
+import hashlib
 import itertools
 import os
 import random
-import sys
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -244,129 +244,200 @@ class TestFirstFailure:
                 check(empty, EX)
 
 
-class TestFirstFailureFork:
-    """From SPLIT_AT samples on, a forked child evaluates the later half. The
-    verdict is the serial one on every path, and no child outlives the call."""
+# sha256 of `rbx verify --suite all --seed 42 --format json` without its
+# elapsed_ms line: the regression oracle
+ORACLE_SHA256 = "95ff43174ea3bf03e5cf95982f3acedfad69f79f17a7c01aeff9215937ee4331"
 
-    SAMPLES = [(i, i + 1) for i in range(10)]  # the child takes samples 5..9
+
+class TestFirstFailureFork:
+    """In `split_run` a forked child evaluates the top-level samples whose
+    run-wide index has an odd number of 1 bits, and this process the rest. The
+    result is the serial one on every path, and no child outlives the run."""
+
+    SAMPLES = [(i, i + 1) for i in range(10)]
+    # the indices 0..9 with an even number of 1 bits; 1, 2, 4, 7 and 8 are the child's
+    OURS = [0, 3, 5, 6, 9]
 
     @pytest.fixture(autouse=True)
     def forks(self, monkeypatch):
-        """The pids that forked, with forking on from 4 samples on any machine."""
+        """The pids that forked, with two CPUs on any machine."""
         forked, fork = [], os.fork
 
         def counted_fork():
             forked.append(os.getpid())
             return fork()
 
-        monkeypatch.setattr(algebra, "SPLIT_AT", 4)
         monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         yield forked
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @staticmethod
-    def _serial(monkeypatch, samples, laws):
-        with monkeypatch.context() as serial:
-            serial.setattr(algebra, "SPLIT_AT", len(samples) + 1)
-            return first_failure("ints", samples, laws, "ab")
+    def _job(self, laws):
+        """One check of SAMPLES, with the inputs this process evaluates in ``laws.seen``."""
+        parent, seen = os.getpid(), []
+
+        def recorded(a, b):
+            if os.getpid() == parent:
+                seen.append(a)
+            return laws(a, b)
+
+        job = lambda: first_failure("ints", self.SAMPLES, recorded, "ab")
+        return job, seen
 
     def test_all_samples_pass(self, forks):
-        laws = lambda a, b: [("sum", a + b, b + a)]
-        assert first_failure("ints", self.SAMPLES, laws, "ab") is None
+        job, seen = self._job(lambda a, b: [("sum", a + b, b + a)])
+        assert algebra.split_run(job) is None
         assert forks == [os.getpid()]
+        assert seen == self.OURS
 
-    def test_a_failure_in_the_childs_half_crosses_the_pipe(self, forks, monkeypatch):
-        laws = lambda a, b: [("θ-law", a, a if a < 7 else -a)]
-        bad = first_failure("ints", self.SAMPLES, laws, "ab")
-        assert bad == self._serial(monkeypatch, self.SAMPLES, laws)
+    def test_a_failure_in_the_childs_half_is_found_again_in_process(self, forks):
+        job, seen = self._job(lambda a, b: [("θ-law", a, a if a < 7 else -a)])
+        bad = algebra.split_run(job)
         assert bad == "model=ints; law=θ-law; a=7; b=8; lhs=7; rhs=-7; diff=14"
+        assert seen == self.OURS + list(range(8))
+        del seen[:]
+        assert job() == bad and seen == list(range(8))
         assert forks == [os.getpid()]
 
     def test_a_failure_in_the_parents_half_wins_over_a_raise_in_the_childs(self, forks):
         def laws(a, b):
-            if a >= 5:
-                raise ZeroDivisionError("the child's half")
-            yield "law", a, a if a != 1 else 0
+            if a in (4, 7, 8):
+                raise ZeroDivisionError("the child's share")
+            yield "law", a, a if a != 3 else 0
 
-        bad = first_failure("ints", self.SAMPLES, laws, "ab")
-        assert bad == "model=ints; law=law; a=1; b=2; lhs=1; rhs=0; diff=1"
+        job, seen = self._job(laws)
+        bad = algebra.split_run(job)
+        assert bad == "model=ints; law=law; a=3; b=4; lhs=3; rhs=0; diff=3"
+        assert seen == [0, 3, 0, 1, 2, 3]  # the split ends at this process's first failure
         assert forks == [os.getpid()]
 
     def test_an_interrupt_in_the_parents_half_reaps_the_child(self, forks):
         parent = os.getpid()
 
         def laws(a, b):
-            if a == 2 and os.getpid() == parent:
+            if a == 3 and os.getpid() == parent:
                 raise KeyboardInterrupt
             yield "law", a, a
 
         with pytest.raises(KeyboardInterrupt):
-            first_failure("ints", self.SAMPLES, laws, "ab")
+            algebra.split_run(self._job(laws)[0])
         assert forks == [parent]
 
-    def test_a_raise_in_the_childs_half_is_raised_again_in_process(self, forks, monkeypatch):
+    def test_a_raise_in_the_childs_half_is_raised_again_in_process(self, forks):
         def laws(a, b):
             if a == 7:
                 raise ConfigError(f"no law at a={a}")
             yield "law", a, a
 
+        job, _ = self._job(laws)
         with pytest.raises(ConfigError, match="^no law at a=7$"):
-            self._serial(monkeypatch, self.SAMPLES, laws)
+            job()
         with pytest.raises(ConfigError, match="^no law at a=7$"):
-            first_failure("ints", self.SAMPLES, laws, "ab")
+            algebra.split_run(job)
         assert forks == [os.getpid()]
 
-    def test_a_child_that_dies_leaves_its_half_to_the_parent(self, forks, monkeypatch):
+    def test_a_child_that_dies_leaves_its_half_to_the_parent(self, forks):
         parent = os.getpid()
 
         def laws(a, b):
             if os.getpid() != parent:
                 os._exit(3)
-            yield "law", a, a if a < 8 else 0
+            yield "law", a, a
 
-        bad = first_failure("ints", self.SAMPLES, laws, "ab")
-        assert bad == self._serial(monkeypatch, self.SAMPLES, laws)
-        assert bad.startswith("model=ints; law=law; a=8;")
+        job, seen = self._job(laws)
+        assert algebra.split_run(job) is None
+        assert seen == self.OURS + list(range(10))
         assert forks == [parent]
 
     def test_a_failed_fork_evaluates_in_order(self, monkeypatch):
-        seen = []
-
         def refused():
             raise OSError("no fork")
 
-        def laws(a, b):
-            seen.append(a)
-            yield "law", a, a if a != 6 else 0
-
+        job, seen = self._job(lambda a, b: [("law", a, a if a != 6 else 0)])
         monkeypatch.setattr(os, "fork", refused)
-        bad = first_failure("ints", self.SAMPLES, laws, "ab")
+        bad = algebra.split_run(job)
         assert bad == "model=ints; law=law; a=6; b=7; lhs=6; rhs=0; diff=6"
         assert seen == [0, 1, 2, 3, 4, 5, 6]
 
+    def test_a_nested_first_failure_is_evaluated_in_full(self, forks):
+        """A law whose value is a failing verdict gets that exact verdict, and
+        nested calls leave the run-wide index alone: the second check's samples
+        are indices 10..19."""
+        inner = lambda a, b: [("law", a, a if a != 7 else 0)]
+        verdict = "model=inner; law=law; a=7; b=8; lhs=7; rhs=0; diff=7"
+        nested, seen = self._job(lambda a, b: [("nested", first_failure(
+            "inner", self.SAMPLES, inner, "ab"), verdict)])
+        second, seen_second = self._job(lambda a, b: [("law", a, a)])
+        job = lambda: (nested(), second())
+        assert algebra.split_run(job) == job() == (None, None)
+        assert seen == self.OURS + list(range(10))
+        assert seen_second == [0, 2, 5, 7, 8] + list(range(10))
+        assert forks == [os.getpid()]
+
+    def test_a_later_raise_outside_first_failure_is_the_serial_exception(self, forks):
+        def laws(a, b):
+            if a == 7:
+                raise ZeroDivisionError("the child's share")
+            yield "law", a, a
+
+        check, _ = self._job(laws)
+
+        def job():
+            check()
+            raise ConfigError("after the check")
+
+        for run in (job, lambda: algebra.split_run(job)):
+            with pytest.raises(ZeroDivisionError, match="^the child's share$"):
+                run()
+        assert forks == [os.getpid()]
+
     @pytest.mark.parametrize("broken", [False, True], ids=["shipped", "matrix-2P"])
     def test_whole_suites_report_the_same_bytes_split_or_not(self, broken, forks, monkeypatch):
-        """Every check of five suites at 40 trials, each multi-sample check
-        forked, against the same run with forking off."""
+        """Every check of five suites at 40 trials, each suite one split run,
+        against the same runs on one CPU."""
         argv = ["verify", "--trials", "40", "--format", "json"]
         doubled = replace(M3, rb=lambda m: 2 * models.triangular_projection(m))
         chosen = {"matrix": doubled} if broken else None
+        suites = ("rb-laws", "prelie", "dendriform", "yang-baxter", "atkinson")
 
-        def bodies(split_at):
-            monkeypatch.setattr(algebra, "SPLIT_AT", split_at)
+        def bodies(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
             out = []
-            for suite in ("rb-laws", "prelie", "dendriform", "yang-baxter", "atkinson"):
+            for suite in suites:
                 report = cli.run_suite(cli.parse_config(argv + ["--suite", suite]), chosen)
                 report.elapsed_ms = 0
                 out.append(report.to_json())
             return out
 
-        split = bodies(2)
-        assert len(forks) > 50
-        assert split == bodies(sys.maxsize)
+        split = bodies({0, 1})
+        assert forks == [os.getpid()] * len(suites)
+        assert split == bodies({0})
+        assert len(forks) == len(suites)
         assert any('"status": "fail"' in body for body in split) == broken
+
+    def test_the_oracle_and_a_failing_run_are_the_same_bytes_on_two_cpus_or_one(
+        self, forks, monkeypatch, capsys
+    ):
+        """`--suite all --seed 42` keeps the oracle body with the split forced on
+        and off, and so does a run in which matrix's R is 2 x triangular_projection."""
+        argv = ["verify", "--suite", "all", "--seed", "42", "--format", "json"]
+        doubled = {"matrix": replace(M3, rb=lambda m: 2 * models.triangular_projection(m))}
+
+        def run(cpus, chosen=None):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            rc = cli.main(argv, chosen)
+            lines = capsys.readouterr().out.splitlines(keepends=True)
+            return rc, "".join(line for line in lines if "elapsed_ms" not in line)
+
+        split, serial = run({0, 1}), run({0})
+        assert forks == [os.getpid()]
+        assert split == serial and split[0] == 0
+        assert hashlib.sha256(split[1].encode()).hexdigest() == ORACLE_SHA256
+        broken = run({0, 1}, doubled)
+        assert forks == [os.getpid()] * 2
+        assert broken == run({0}, doubled) and broken[0] == 1
+        assert len(forks) == 2
 
 
 def _doubled(alg):

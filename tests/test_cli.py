@@ -404,7 +404,7 @@ class TestMain:
             assert capsys.readouterr().err.startswith(f"error: cannot write report to {target}: ")
 
     def test_piped_text_report_is_written_once(self):
-        """Checks of 40 samples fork; the children leave the parent's stdout alone."""
+        """The run forks once; its child leaves the parent's stdout alone."""
         import rbx
 
         argv = ["verify", "--suite", "rb-laws", "--trials", "40"]
