@@ -300,6 +300,38 @@ class TestFirstFailureFork:
         assert job() == bad and seen == list(range(8))
         assert forks == [os.getpid()]
 
+    def test_a_failure_in_the_childs_share_ends_the_split_before_the_next_check(
+        self, forks, monkeypatch
+    ):
+        """The child fails at sample 7 of the first of two checks. This process
+        waits on its last sample of that check until the child has exited, so
+        the poll at the end of the check sees the child's end and the second
+        check is evaluated only in the serial rerun."""
+        parent, child, fork = os.getpid(), [], os.fork
+
+        def fork_and_keep():
+            pid = fork()
+            child.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_and_keep)
+
+        def laws(a, b):
+            if a == 9 and os.getpid() == parent:
+                os.waitid(os.P_PID, child[0], os.WEXITED | os.WNOWAIT)  # leaves it unreaped
+            yield "law", a, a if a != 7 else 0
+
+        first, seen = self._job(laws)
+        second, seen_second = self._job(lambda a, b: [("law", a, a)])
+        job = lambda: (first(), second())
+        verdict = "model=ints; law=law; a=7; b=8; lhs=7; rhs=0; diff=7"
+        assert algebra.split_run(job) == (verdict, None)
+        assert seen == self.OURS + list(range(8))
+        assert seen_second == list(range(10))
+        del seen[:], seen_second[:]
+        assert job() == (verdict, None) and seen == list(range(8))
+        assert forks == [parent]
+
     def test_a_failure_in_the_parents_half_wins_over_a_raise_in_the_childs(self, forks):
         def laws(a, b):
             if a in (4, 7, 8):

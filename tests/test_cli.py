@@ -16,6 +16,7 @@ from rbx.cli import SUITES, SuiteConfig, main, parse_config, run_suite
 from rbx.errors import ConfigError
 from rbx.models import RatMatrix, matrix_algebra, noncommutative_standard_algebra
 from rbx.report import Report
+from test_algebra import ORACLE_SHA256
 
 FAST = ["--trials", "5"]
 
@@ -441,6 +442,23 @@ class TestMain:
         lines = capsys.readouterr().out.splitlines(keepends=True)
         body = "".join(line for line in lines if "elapsed_ms" not in line)
         assert hashlib.sha256(body.encode()).hexdigest() == EXTREME_SHA256
+
+    def test_oracle_body_is_the_same_under_any_hash_seed(self):
+        """The oracle command, run fresh under two PYTHONHASHSEED values."""
+        import rbx
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rbx.__file__)))
+        argv = ["verify", "--suite", "all", "--seed", "42", "--format", "json"]
+        for seed in ("0", "12345"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "rbx.cli"] + argv,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            lines = proc.stdout.splitlines(keepends=True)
+            body = "".join(line for line in lines if "elapsed_ms" not in line)
+            assert hashlib.sha256(body.encode()).hexdigest() == ORACLE_SHA256, seed
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
