@@ -407,23 +407,26 @@ def check_bohnenblust_spitzer(alg: RBAlgebra, operands: tuple) -> list:
 
     A commutative carrier gets commutative-partitions, or weight-zero (the
     n-fold double product) at weight 0, both Eq. (clBSp); every carrier gets
-    cycles-prelie, Eq. (clBSpPerm). The left side is formed once for all.
+    cycles-prelie, Eq. (clBSpPerm). Each form's law builds both of its sides,
+    so in a split run only the process that evaluates the form builds them;
+    a process builds the left side at most once for all forms.
     """
     n = len(operands)
     if not 1 <= n <= 6:
         raise ConfigError(f"operand count {n} outside 1..6")
     forms = []
     if alg.commutative and alg.weight != 0:
-        forms.append(("commutative-partitions", "Eq. (clBSp)", _partitions_rhs(alg, operands)))
+        forms.append(("commutative-partitions", "Eq. (clBSp)", _partitions_rhs))
     elif alg.commutative:
         star = lambda u, v: double_product(alg, u, v)
-        forms.append(("weight-zero", "Eq. (clBSp)", functools.reduce(star, operands)))
-    forms.append(("cycles-prelie", "Eq. (clBSpPerm)", _cycles_prelie_rhs(alg, operands)))
-    lhs = _nested_lhs(alg, operands)
+        forms.append(("weight-zero", "Eq. (clBSp)", lambda alg, fs: functools.reduce(star, fs)))
+    forms.append(("cycles-prelie", "Eq. (clBSpPerm)", _cycles_prelie_rhs))
+    lhs = functools.cache(lambda: _nested_lhs(alg, operands))
     names = [f"F{i}" for i in range(1, n + 1)]
     checks = []
     for form, anchor, rhs in forms:
-        bad = first_failure(alg.name, [operands], lambda *_: [(form, lhs, rhs)], names)
+        laws = lambda *fs, form=form, rhs=rhs: [(form, lhs(), rhs(alg, fs))]
+        bad = first_failure(alg.name, [operands], laws, names)
         checks.append(CheckResult.of(f"bohnenblust-spitzer/{alg.name}/n={n}/{form}", anchor, bad))
     return checks
 

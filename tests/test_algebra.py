@@ -426,12 +426,16 @@ class TestFirstFailureFork:
 
     @pytest.mark.parametrize("broken", [False, True], ids=["shipped", "matrix-2P"])
     def test_whole_suites_report_the_same_bytes_split_or_not(self, broken, forks, monkeypatch):
-        """Every check of five suites at 40 trials, each suite one split run,
-        against the same runs on one CPU."""
-        argv = ["verify", "--trials", "40", "--format", "json"]
+        """Every check of six suites at 40 trials and Bohnenblust-Spitzer
+        arity 5, each suite one split run, against the same runs on one CPU.
+        Under 2P the matrix3 cycles-prelie checks fail at n = 3..5, in both
+        processes' shares, so a split that builds the Bohnenblust-Spitzer
+        sides inside the laws ends in a serial rerun."""
+        argv = ["verify", "--trials", "40", "--bs-arity", "5", "--format", "json"]
         doubled = replace(M3, rb=lambda m: 2 * models.triangular_projection(m))
         chosen = {"matrix": doubled} if broken else None
-        suites = ("rb-laws", "prelie", "dendriform", "yang-baxter", "atkinson")
+        suites = ("rb-laws", "prelie", "dendriform", "yang-baxter", "atkinson",
+                  "bohnenblust-spitzer")
 
         def bodies(cpus):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
@@ -470,6 +474,46 @@ class TestFirstFailureFork:
         assert forks == [os.getpid()] * 2
         assert broken == run({0}, doubled) and broken[0] == 1
         assert len(forks) == 2
+
+    # the suites whose split parent may apply R as often as a serial run, and why
+    UNSHARED = {
+        "shuffle": "its laws are on words and apply no registry carrier's R",
+        "magnus": "its Magnus series are built outside the laws, so by both processes",
+    }
+
+    def test_the_parent_applies_r_at_most_0_6_times_as_often_as_a_serial_run(
+        self, forks, monkeypatch
+    ):
+        """Each suite of `--suite all` at small flags, with every registry
+        carrier's R counted in this process: split, its count is at most 0.6
+        of the count on one CPU, in every suite but those of UNSHARED."""
+        argv = ["verify", "--trials", "20", "--order", "4", "--bs-arity", "4", "--format", "json"]
+        calls = [0]
+
+        def counted(rb):
+            def counted_rb(x):
+                calls[0] += 1
+                return rb(x)
+
+            return counted_rb
+
+        registry = cli.default_models(cli.parse_config(argv))
+        wrapped = {id(alg): replace(alg, rb=counted(alg.rb)) for alg in registry.values()}
+        chosen = {key: wrapped[id(alg)] for key, alg in registry.items()}
+
+        def r_calls(suite, cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            calls[0] = 0
+            assert cli.main(argv + ["--suite", suite], chosen) == 0
+            return calls[0]
+
+        ratios = {}
+        for suite in cli.SUITES:
+            split, serial = r_calls(suite, {0, 1}), r_calls(suite, {0})
+            ratios[suite] = split / serial if serial else None
+        unshared = {suite for suite, ratio in ratios.items() if ratio is None or ratio > 0.6}
+        assert unshared == set(self.UNSHARED), ratios
+        assert forks == [os.getpid()] * len(cli.SUITES)
 
 
 def _doubled(alg):

@@ -121,17 +121,24 @@ def test_partitions_right_side_forms_each_block_once(monkeypatch):
 
 
 def test_one_left_side_serves_every_form():
-    # standard-comm gets two forms; at n = 4 the left side applies R to each
-    # proper nonempty subset, 2^4 - 2 = 14 times, and only once for both
-    key, alg, _ = CASES["standard-comm"]
-    rb, r_calls = _counted(alg.rb)
-    alg = dataclasses.replace(alg, rb=rb)
-    ops = _operands(key, alg, 4)
-    identities._partitions_rhs(alg, ops)
-    identities._cycles_prelie_rhs(alg, ops)
-    rhs_calls = r_calls[0]
-    r_calls[0] = 0
-    checks = check_bohnenblust_spitzer(alg, ops)
-    assert [c.name.rsplit("/", 1)[1] for c in checks] == ["commutative-partitions", "cycles-prelie"]
-    assert all(c.status == "pass" for c in checks)
-    assert r_calls[0] == 14 + rhs_calls
+    # on a commutative carrier of nonzero weight the commutative-partitions
+    # and cycles-prelie laws read one left side: serially, the check applies R
+    # exactly as often as its three builders do, each run alone. The left
+    # side applies R to each proper nonempty subset, 2^n - 2 times
+    builders = (identities._nested_lhs, identities._partitions_rhs, identities._cycles_prelie_rhs)
+    for key in ("standard-comm", "summation", "laurent"):
+        rb, r_calls = _counted(REGISTRY[key].rb)
+        alg = dataclasses.replace(REGISTRY[key], rb=rb)
+        for n in range(2, 6):
+            ops = _operands(key, alg, n)
+            alone = []
+            for build in builders:
+                r_calls[0] = 0
+                build(alg, ops)
+                alone.append(r_calls[0])
+            r_calls[0] = 0
+            checks = check_bohnenblust_spitzer(alg, ops)
+            forms = [c.name.rsplit("/", 1)[1] for c in checks]
+            assert forms == ["commutative-partitions", "cycles-prelie"], (key, n)
+            assert all(c.status == "pass" for c in checks), (key, n)
+            assert alone[0] == 2**n - 2 and r_calls[0] == sum(alone), (key, n)
