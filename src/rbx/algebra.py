@@ -69,7 +69,7 @@ class SamplePlan:
     samples of one with more. Deterministic given the seed.
 
     ``held`` is [sampler, seed, generator, draws] for one sampler at a time.
-    ``replace`` keeps it, so a plan and the plans narrowed from it read one
+    ``replace`` keeps it, so a plan and its copies at fewer trials read one
     sequence of draws instead of restarting the generator per check. The draws
     are the ones a fresh ``random.Random(seed)`` gives, because only the
     sampler consumes it. A new sampler or seed replaces the held draws.
@@ -85,10 +85,6 @@ class SamplePlan:
             raise ValueError(f"unknown sample mode {self.mode!r}")
         if self.mode == "random" and self.trials < 1:
             raise ValueError(f"a random plan needs at least one trial, got {self.trials}")
-
-    def narrowed(self, trials: int) -> "SamplePlan":
-        """This plan at ``trials`` trials, reading the same draws."""
-        return replace(self, trials=trials)
 
     def _draws(self, alg: RBAlgebra, arity: int) -> list:
         """The first arity * trials elements ``alg`` draws from ``random.Random(seed)``."""
@@ -202,46 +198,40 @@ def split_run(job):
     sample i is the child's when i has an odd number of 1 bits (the Thue-Morse
     sequence, which evens out runs of alternately cheap and costly checks).
 
-    This process returns its own result once the child reports that its share
-    passed. On a failure or an exception in either process it kills and reaps
-    the child and reruns job() serially, so every result, counterexample and
-    exception is the serial one. It polls the child at the end of each
-    top-level first_failure call, so a failure in the child's share ends the
-    split there. job() runs serially without ``os.fork``, a second CPU or a
-    fork that succeeds, in a process with threads (fork copies only the
-    calling one) and inside a split run.
+    The child's exit status is its verdict: it exits 0 only once its share of
+    job() has returned. This process returns its own result once it has reaped
+    the child with status 0, polling at the end of each top-level
+    first_failure call, so a failure in the child's share ends the split
+    there. On a failure or an exception in either process it kills and reaps
+    the child, unless already reaped, and reruns job() serially, so every
+    result, counterexample and exception is the serial one. job() runs
+    serially without ``os.fork``, a second CPU or a fork that succeeds, in a
+    process with threads (fork copies only the calling one) and inside a
+    split run.
     """
     global _share
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if _share is not None or cpus < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return job()
-    read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_end)
-        os.close(write_end)
         return job()
     if pid == 0:  # os._exit leaves the parent's stdio buffers unflushed
-        os.close(read_end)
         code, _share = 1, (1, itertools.count(), lambda: False)
         try:
             job()
-            os.write(write_end, b"P")
             code = 0
         finally:
             os._exit(code)
-    os.close(write_end)
-    heard = []  # what the child wrote, once read: b"P" if its share passed, else b""
+    status = None  # the child's wait status once reaped: 0 if its share passed
 
     def child_failed(wait: bool = False) -> bool:
-        if not heard:
-            os.set_blocking(read_end, wait)
-            try:
-                heard.append(os.read(read_end, 1))
-            except BlockingIOError:  # the child is still running
-                pass
-        return heard == [b""]
+        nonlocal status
+        if status is None:
+            reaped, code = os.waitpid(pid, 0 if wait else os.WNOHANG)
+            status = code if reaped else None
+        return bool(status)
 
     try:
         _share = 0, itertools.count(), child_failed
@@ -252,9 +242,9 @@ def split_run(job):
         pass
     finally:
         _share = None
-        os.close(read_end)
-        os.kill(pid, signal.SIGKILL)  # no effect on a child that has exited
-        os.waitpid(pid, 0)
+        if status is None:  # a reaped pid may name another process by now
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return job()
 
 

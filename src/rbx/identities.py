@@ -171,8 +171,6 @@ def check_bogoliubov(alg: RBAlgebra, x: LambdaSeries) -> CheckResult:
 @dataclass(frozen=True)
 class MagnusExpansion:
     omega: LambdaSeries
-    source: object
-    weight: Fraction
 
 
 def _prelie_grade(alg: RBAlgebra, pairs, t, g: int, low: int):
@@ -213,7 +211,7 @@ def prelie_magnus_of_series(alg: RBAlgebra, z: LambdaSeries, order: int) -> Lamb
 
 def prelie_magnus(alg: RBAlgebra, x, order: int) -> MagnusExpansion:
     omega = prelie_magnus_of_series(alg, _constant_source(alg, x, order), order)
-    return MagnusExpansion(omega=omega, source=x, weight=alg.weight)
+    return MagnusExpansion(omega)
 
 
 def _log_closed_form(alg: RBAlgebra, x, order: int) -> LambdaSeries:

@@ -65,7 +65,7 @@ def prelie_magnus_of_series(alg: RBAlgebra, z: LambdaSeries, order: int) -> Lamb
 
 def prelie_magnus(alg: RBAlgebra, x, order: int) -> MagnusExpansion:
     omega = prelie_magnus_of_series(alg, _constant_source(alg, x, order), order)
-    return MagnusExpansion(omega=omega, source=x, weight=alg.weight)
+    return MagnusExpansion(omega)
 
 
 def flows_product(alg: RBAlgebra, x, y, order: int) -> LambdaSeries:

@@ -84,7 +84,7 @@ class TestSamplePlan:
         assert plan.triples(alg) == plan.triples(alg)
 
     def test_a_shared_stream_draws_what_fresh_generators_draw(self):
-        # every call order of a plan's and a narrowed plan's samples, on every
+        # every call order of the samples of a plan and of its copy at 2 trials, on every
         # registry carrier in turn and again after switching back, against a
         # fresh random.Random(seed) per call
         registry = list(default_models(SuiteConfig()).values())
@@ -100,7 +100,7 @@ class TestSamplePlan:
         calls = [(0, "pairs"), (0, "triples"), (1, "pairs"), (1, "triples")]
         for order in itertools.permutations(calls):
             plan = SamplePlan("random", trials=5, seed=3)
-            plans = (plan, plan.narrowed(2))
+            plans = (plan, replace(plan, trials=2))
             for alg in registry + registry[::-1]:
                 for which, call in order:
                     got = getattr(plans[which], call)(alg)
@@ -330,6 +330,32 @@ class TestFirstFailureFork:
         assert seen_second == list(range(10))
         del seen[:], seen_second[:]
         assert job() == (verdict, None) and seen == list(range(8))
+        assert forks == [parent]
+
+    def test_a_reaped_child_is_never_signalled(self, forks, monkeypatch):
+        """The child fails at sample 1 and this process waits on its last
+        sample until the child has exited, so the poll at the end of the check
+        reaps it. Its pid may name another process by then, so the split does
+        not kill it."""
+        parent, child, signalled, fork, kill = os.getpid(), [], [], os.fork, os.kill
+
+        def fork_and_keep():
+            pid = fork()
+            child.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_and_keep)
+        monkeypatch.setattr(os, "kill", lambda pid, sig: signalled.append(pid) or kill(pid, sig))
+
+        def laws(a, b):
+            if a == 9 and os.getpid() == parent:
+                os.waitid(os.P_PID, child[0], os.WEXITED | os.WNOWAIT)  # leaves it unreaped
+            yield "law", a, a if a != 1 else 0
+
+        job, _ = self._job(laws)
+        verdict = "model=ints; law=law; a=1; b=2; lhs=1; rhs=0; diff=1"
+        assert algebra.split_run(job) == job() == verdict
+        assert child[0] not in signalled
         assert forks == [parent]
 
     def test_a_failure_in_the_parents_half_wins_over_a_raise_in_the_childs(self, forks):
