@@ -206,12 +206,19 @@ def split_run(job):
     the child, unless already reaped, and reruns job() serially, so every
     result, counterexample and exception is the serial one. job() runs
     serially without ``os.fork``, a second CPU or a fork that succeeds, in a
-    process with threads (fork copies only the calling one) and inside a
-    split run.
+    process with threads (fork copies only the calling one), inside a split
+    run and while SIGCHLD is ignored (the kernel then reaps the child at
+    once, so its exit status cannot be read).
     """
     global _share
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if _share is not None or cpus < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if (
+        _share is not None
+        or cpus < 2
+        or not hasattr(os, "fork")
+        or threading.active_count() > 1
+        or signal.getsignal(signal.SIGCHLD) is signal.SIG_IGN
+    ):
         return job()
     try:
         pid = os.fork()

@@ -15,8 +15,14 @@ Conventions fixed here once:
   ell^n_{Omega |>}(lambda z). The commutative closed form
   theta^{-1} log(1 + theta F) pins the sign convention; the recursion
   reproduces it exactly (checked coefficientwise by spitzer checks). The
-  towers ell^n fill in grade by grade, each entry once: tower n vanishes
-  below grade n + 1 and grade k reads Omega only below k.
+  towers ell^n fill in grade by grade, each entry at most once: tower n
+  vanishes below grade n + 1, grade k reads Omega only below k, and a
+  top-grade entry of weight 0 is never formed, since no tower reads it.
+* a carrier product with a factor that is the carrier's ``zero`` object,
+  the padding of constant sources and of ``LambdaSeries.term``, is skipped
+  where the product is the carrier ``*``: it is 0 by bilinearity of ``*``,
+  whatever R is. The double product and |> are not bilinear for a
+  nonlinear R (x * 0 = xR(0)), so ``series_mul`` forms all their terms.
 * the flows composition is implemented so that the solution map is a
   homomorphism: solve(x # y) = solve(x) solve(y). With left fixed points
   f = 1 + lambda R(fx) this forces x # y = y + exp(-ell_{Omega'(y) |>})(x);
@@ -81,7 +87,12 @@ def _grades(law: str, a: LambdaSeries, b: LambdaSeries):
 def solve_fixed_point_series(
     alg: RBAlgebra, z: LambdaSeries, side: str = SIDE_LEFT
 ) -> LambdaSeries:
-    """Solve l = 1 + lambda R(l z) (left-R) or h = 1 + lambda Rtilde(z h), to z's order."""
+    """Solve l = 1 + lambda R(l z) (left-R) or h = 1 + lambda Rtilde(z h), to z's order.
+
+    A grade of z that is the carrier's ``zero`` object, the padding of a
+    constant source, adds no carrier product: the product is 0 by
+    bilinearity of ``*``, whatever R is.
+    """
     if side not in (SIDE_LEFT, SIDE_RIGHT):
         raise ValueError(f"unknown side {side!r}")
     coeffs = [alg.one]
@@ -89,7 +100,8 @@ def solve_fixed_point_series(
         w = alg.zero
         for i in range(n):  # grade of the solution factor
             zj = z.coefficient(n - 1 - i)
-            w = w + (coeffs[i] * zj if side == SIDE_LEFT else zj * coeffs[i])
+            if zj is not alg.zero:
+                w = w + (coeffs[i] * zj if side == SIDE_LEFT else zj * coeffs[i])
         coeffs.append(alg.rb(w) if side == SIDE_LEFT else tilde_operator(alg, w))
     return LambdaSeries(alg, tuple(coeffs))
 
@@ -176,10 +188,13 @@ class MagnusExpansion:
 def _prelie_grade(alg: RBAlgebra, pairs, t, g: int, low: int):
     """Grade g of w |> t from coefficient sequences, where pairs[i] is the
     pair (R(w_i), Rtilde(w_i)) for i >= 1 and t vanishes below grade low:
-    only i = 1 .. g - low contribute."""
+    only i = 1 .. g - low contribute. A t grade that is the carrier's ``zero``
+    object adds nothing: w_i |> 0 = R(w_i)0 + 0Rtilde(w_i) is 0 by
+    bilinearity of ``*``, whatever R is."""
     acc = alg.zero
     for i in range(1, g - low + 1):
-        acc = acc + _prelie(pairs[i], t[g - i])
+        if t[g - i] is not alg.zero:
+            acc = acc + _prelie(pairs[i], t[g - i])
     return acc
 
 
@@ -190,8 +205,13 @@ def prelie_magnus_of_series(alg: RBAlgebra, z: LambdaSeries, order: int) -> Lamb
     tower[n][k] = sum_{i=1..k-n} omega_i |> tower[n-1][k-i], since tower n
     vanishes below grade n + 1. Grade k of every tower reads Omega only below
     grade k, so the recursion is well founded, each tower entry is computed
-    once, and each coefficient is independent of the truncation order. Each
-    omega_k below the top grade gets its pair (R, Rtilde) once.
+    at most once, and each coefficient is independent of the truncation
+    order. Each omega_k below the top grade gets its pair (R, Rtilde) once.
+
+    No tower reads a top-grade entry, so tower n skips it when its weight
+    is 0 (odd n >= 3). A grade of lambda z that is the carrier's ``zero``
+    object, the padding of a constant source, adds no term to tower 1
+    (see ``_prelie_grade``).
     """
     lam_z = [alg.zero] + [z.coefficient(k) for k in range(order)]
     weights = [Fraction((-1) ** n) * bernoulli(n) / math.factorial(n) for n in range(order)]
@@ -200,6 +220,8 @@ def prelie_magnus_of_series(alg: RBAlgebra, z: LambdaSeries, order: int) -> Lamb
     for k in range(1, order + 1):
         acc = lam_z[k]
         for n in range(1, k):
+            if k == order and not weights[n]:
+                continue
             entry = towers[n][k] = _prelie_grade(alg, pairs, towers[n - 1], k, n)
             if weights[n]:
                 acc = acc + weights[n] * entry
@@ -218,12 +240,15 @@ def _log_closed_form(alg: RBAlgebra, x, order: int) -> LambdaSeries:
     """theta^{-1} log(1 + theta lambda x) as a series of carrier elements.
 
     Coefficient n is (-1)^(n-1) theta^(n-1) x^n / n; at theta = 0 only the
-    linear term survives, which is the correct algebraic limit.
+    linear term survives, which is the correct algebraic limit. x^n is
+    x^(n-1) x, one carrier product per grade.
     """
-    coeffs = [alg.zero]
+    coeffs, power = [alg.zero], x
     for n in range(1, order + 1):
         c = Fraction((-1) ** (n - 1), n) * alg.weight ** (n - 1)
-        coeffs.append(c * x ** n if c else alg.zero)
+        if n > 1 and c:  # at weight 0, c vanishes for every n > 1
+            power = power * x
+        coeffs.append(c * power if c else alg.zero)
     return LambdaSeries(alg, tuple(coeffs))
 
 

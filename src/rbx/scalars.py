@@ -16,37 +16,31 @@ Bernoulli numbers follow the x/(e^x - 1) convention, i.e. B_1 = -1/2.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
 
 
-def _bernoulli_table(n_max: int) -> tuple:
-    """B_0 .. B_{n_max} from the defining recurrence
+@functools.cache
+def bernoulli(n: int) -> Fraction:
+    """Return B_n (convention B_1 = -1/2) for 0 <= n <= 32, from the defining
+    recurrence
 
         sum_{k=0}^{n} C(n+1, k) * B_k = 0   for n >= 1,
 
-    with B_0 = 1. Under this convention B_1 = -1/2 and B_n = 0 for odd n >= 3.
-    """
-    values = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        acc = sum(math.comb(n + 1, k) * values[k] for k in range(n))
-        values.append(Fraction(-acc, n + 1))
-    return tuple(values)
-
-
-_TABLE = _bernoulli_table(32)
-
-
-def bernoulli(n: int) -> Fraction:
-    """Return B_n (convention B_1 = -1/2) for 0 <= n <= 32.
+    with B_0 = 1, so B_n = 0 for odd n >= 3. Each value is computed on first
+    use and kept: a run reads only the first few.
 
     >>> bernoulli(0), bernoulli(1), bernoulli(2)
     (Fraction(1, 1), Fraction(-1, 2), Fraction(1, 6))
     """
-    if not 0 <= n < len(_TABLE):
-        raise IndexError(f"Bernoulli index {n} outside table bound {len(_TABLE) - 1}")
-    return _TABLE[n]
+    if not 0 <= n <= 32:
+        raise IndexError(f"Bernoulli index {n} outside table bound 32")
+    if n == 0:
+        return Fraction(1)
+    acc = sum(math.comb(n + 1, k) * bernoulli(k) for k in range(n))
+    return Fraction(-acc, n + 1)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -6,7 +6,8 @@ is any object with ``zero`` and ``one`` attributes whose elements support
 ``+``, ``-`` and left multiplication by ``Fraction``. Products take a
 bilinear map ``mul``, ``*`` by default. exp and log multiply only
 coefficients of grade >= 1, so ``mul`` needs no unit: the grade-0 ``one`` is
-a formal marker that no product reads.
+a formal marker that no product reads. Products through ``*`` skip the
+carrier's ``zero`` object as an operand (see ``series_mul``).
 """
 
 from __future__ import annotations
@@ -103,16 +104,23 @@ def series_mul(
 
     a vanishes below grade low_a and b below grade low_b, so the product
     vanishes below low_a + low_b; only the grades and terms that can be
-    nonzero are computed.
+    nonzero are computed. For the carrier ``*`` a term with an operand that
+    is the carrier's ``zero`` object, the padding of ``LambdaSeries.term``
+    and ``one``, is skipped: it is 0 by bilinearity of ``*`` alone. Any other
+    mul forms every term, because the double product and the pre-Lie action
+    are bilinear only for a linear R: x * 0 = xR(0) in the double product.
     """
     a._match(b)
     n = a.order
     zero = a.carrier.zero
+    bilinear = mul is operator.mul
     out = [zero] * min(low_a + low_b, n + 1)
     for k in range(low_a + low_b, n + 1):
         acc = zero
         for i in range(low_a, k - low_b + 1):
-            acc = acc + mul(a.coeffs[i], b.coeffs[k - i])
+            u, v = a.coeffs[i], b.coeffs[k - i]
+            if not (bilinear and (u is zero or v is zero)):
+                acc = acc + mul(u, v)
         out.append(acc)
     return LambdaSeries(a.carrier, out)
 

@@ -11,17 +11,31 @@ product got a formal unit adjoined through ``_Unitized``, and
 recursion. They are the oracle for the differential tests in
 ``test_series_layer.py``: the rewritten functions must give the same
 coefficients. They are not part of the package.
+
+Their series products go through ``series_mul`` here, a plain Cauchy product
+that forms every term, zero operands included, and never calls the
+package's ``series_mul``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 from rbx.algebra import RBAlgebra, double_product, prelie_left, tilde_operator
 from rbx.identities import MagnusExpansion
 from rbx.scalars import bernoulli
 from rbx.series import LambdaSeries
+
+
+def series_mul(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
+    """The Cauchy product truncated at the common order, every term formed."""
+    return LambdaSeries(a.carrier, tuple(
+        functools.reduce(operator.add, (a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)))
+        for k in range(a.order + 1)
+    ))
 
 
 def _constant_source(alg: RBAlgebra, x, order: int) -> LambdaSeries:
@@ -95,7 +109,7 @@ def series_log(a: LambdaSeries) -> LambdaSeries:
         sign = 1 if k % 2 == 1 else -1
         out = out + Fraction(sign, k) * power
         if k < n:
-            power = power * u
+            power = series_mul(power, u)
     return out
 
 
@@ -109,7 +123,7 @@ def series_exp(a: LambdaSeries) -> LambdaSeries:
     for k in range(1, n + 1):
         out = out + Fraction(1, math.factorial(k)) * power
         if k < n:
-            power = power * a
+            power = series_mul(power, a)
     return out
 
 
@@ -188,14 +202,14 @@ class _UnitizedElement:
 def bch_of_series(alg: RBAlgebra, a: LambdaSeries, b: LambdaSeries, product: str = "carrier") -> LambdaSeries:
     """log(exp(a) exp(b)) for series with zero constant coefficient."""
     if product == "carrier":
-        return series_log(series_exp(a) * series_exp(b))
+        return series_log(series_mul(series_exp(a), series_exp(b)))
     if product != "double":
         raise ValueError(f"unknown product {product!r}")
     dc = _Unitized(alg)
     lift = lambda s: LambdaSeries(
         dc, tuple(_UnitizedElement(dc, Fraction(0), c) for c in s.coeffs)
     )
-    out = series_log(series_exp(lift(a)) * series_exp(lift(b)))
+    out = series_log(series_mul(series_exp(lift(a)), series_exp(lift(b))))
     for k in range(out.order + 1):
         if out.coefficient(k).scalar != 0:
             raise ArithmeticError("unit component leaked into a BCH coefficient")

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import os
 import random
+import signal
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -290,6 +291,18 @@ class TestFirstFailureFork:
         assert algebra.split_run(job) is None
         assert forks == [os.getpid()]
         assert seen == self.OURS
+
+    def test_an_ignored_sigchld_runs_the_job_serially(self, forks):
+        """With SIGCHLD ignored the kernel reaps a child at once, so its exit
+        status could not be read: the job runs in this process alone."""
+        job, seen = self._job(lambda a, b: [("sum", a + b, b + a)])
+        handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert algebra.split_run(job) is None
+        finally:
+            signal.signal(signal.SIGCHLD, handler)
+        assert forks == []
+        assert seen == list(range(10))
 
     def test_a_failure_in_the_childs_half_is_found_again_in_process(self, forks):
         job, seen = self._job(lambda a, b: [("θ-law", a, a if a < 7 else -a)])

@@ -1,10 +1,16 @@
 """Differential tests: the grade-aware series layer against the plain one.
 
 The Magnus towers, the flows composition and series log/exp skip every
-coefficient they know to be zero and compute each tower entry once. The
-functions in ``reference_series`` rebuild everything from grade 0; both must
-give the same coefficients at every truncation order N = 1..8 on the matrix,
-Laurent, summation and both standard carriers.
+coefficient they know to be zero and compute each tower entry at most once.
+Fixed points, pre-Lie towers and products through the carrier ``*`` also skip
+a term with an operand that is the carrier's ``zero`` object, the padding of
+constant sources and of ``LambdaSeries.term``: by bilinearity of ``*`` that
+term is 0 under any operator. Any other product, such as the double product,
+forms every term, since x * 0 = xR(0) need not vanish. The functions in
+``reference_series`` rebuild everything from grade 0 and form every product;
+both must give the same coefficients at every truncation order N = 1..8 on
+the matrix, Laurent, summation and both standard carriers, also under an
+operator with R(0) != 0.
 
 BCH in the double product runs without an adjoined unit, and Bogoliubov
 through the left fixed point; both must match the reference unitized
@@ -109,6 +115,45 @@ def test_prelie_series_grade_skip_matches_the_reference(name):
         assert got.order == 6
 
 
+def _unshared(s):
+    """s with each coefficient that is the carrier's zero object replaced by an
+    equal element that is not that object, so no product with it is skipped."""
+    zero = s.carrier.zero
+    fresh = -zero
+    assert fresh == zero and fresh is not zero
+    return LambdaSeries(s.carrier, tuple(fresh if c is zero else c for c in s.coeffs))
+
+
+@pytest.mark.parametrize("name", CARRIERS)
+def test_skipped_zero_products_change_nothing_when_r_of_zero_is_not_zero(name):
+    # R(v) + 1 has R(0) = 1, so the double product gives x * 0 = xR(0) = x:
+    # only the carrier * may skip a zero operand. The reference forms every
+    # product, but its unitized double product also multiplies the bodies of
+    # the unit and of grade 0, which no series here reads, so BCH in the
+    # double product is checked against the same series with unshared zeros.
+    base, x, y = _sources(name)
+    alg = replace(base, rb=lambda v: base.rb(v) + base.one)
+    star = lambda u, v: double_product(alg, u, v)
+    for n in range(1, 7):
+        const, mixed = LambdaSeries.term(alg, 0, x, n), _mixed_source(alg, x, y, n)
+        for z in (const, mixed):
+            assert prelie_magnus_of_series(alg, z, n) == ref.prelie_magnus_of_series(alg, z, n), n
+        omega_y = prelie_magnus(alg, y, n).omega
+        assert flows_product(alg, x, y, n, omega_y) == ref.flows_product(alg, x, y, n), n
+        lam_x, lam_y = LambdaSeries.term(alg, 1, x, n), LambdaSeries.term(alg, 1, y, n)
+        f, hinv = ref.bogoliubov_decompose(alg, lam_x)
+        assert solve_fixed_point(alg, x, order=n) == f, n
+        assert series_log(f) == ref.series_log(f), n
+        assert series_exp(lam_x) == ref.series_exp(lam_x), n
+        assert bch_of_series(lam_x, lam_y) == ref.bch_of_series(alg, lam_x, lam_y), n
+        want = bch_of_series(_unshared(lam_x), _unshared(lam_y), star)
+        assert bch_of_series(lam_x, lam_y, star) == want, n
+        if n <= 4:
+            assert bogoliubov_decompose(alg, lam_x) == (f, hinv), n
+            source = mixed - const
+            assert bogoliubov_decompose(alg, source) == ref.bogoliubov_decompose(alg, source), n
+
+
 BCH_CARRIERS = ("matrix", "laurent", "standard-nc", "integration", "summation")
 
 
@@ -187,10 +232,14 @@ def _count_prelie(monkeypatch, module) -> list:
 
 def test_magnus_computes_each_tower_entry_once(monkeypatch):
     # tower n contributes grades n+1..N, each a sum of k - n pre-Lie products:
-    # sum_k k(k-1)/2 = C(N+1, 3) = 84 at N = 8, two carrier products each
-    # (252 when each took three), against 1008 pre-Lie products before the
-    # towers. R runs once on each omega_k below the top grade, 7 times (84
-    # when every pre-Lie product applied it again).
+    # sum_k k(k-1)/2 = C(N+1, 3) = 84 at N = 8, against 1008 pre-Lie products
+    # before the towers. Of the 84, a constant source skips the k - 2 terms of
+    # tower 1 at grade k that act on a zero source grade, 21 in all, and the
+    # towers n = 3, 5 and 7 of weight B_n = 0 skip their top-grade entries of
+    # 5, 3 and 1 terms, 9 in all. That leaves 54 pre-Lie products, two carrier
+    # products each: 108 (168 when every tower entry was formed, 252 when
+    # each pre-Lie product took three). R runs once on each omega_k below the
+    # top grade, 7 times (84 when every pre-Lie product applied it again).
     alg, x, _ = _sources("matrix")
     r_calls, products = [0], [0]
     inner_rb, inner_mul = alg.rb, RatMatrix.__mul__
@@ -205,7 +254,7 @@ def test_magnus_computes_each_tower_entry_once(monkeypatch):
 
     monkeypatch.setattr(RatMatrix, "__mul__", mul)
     prelie_magnus(replace(alg, rb=rb), x, 8)
-    assert (r_calls[0], products[0]) == (7, 168)
+    assert (r_calls[0], products[0]) == (7, 108)
     old = _count_prelie(monkeypatch, ref)
     ref.prelie_magnus(alg, x, 8)
     assert old[0] == 1008
