@@ -529,28 +529,19 @@ def _magnus_expected(alg, x) -> dict:
     """Grades 2..4 of the Magnus series, written out as pre-Lie chains.
 
     The grade-4 sums are (3A + B + C + D) / 24 and (2A + B) / 12, with
-    A = (xx|>x)|>x, B = x|>(xx|>x), C = (x|>xx)|>x and D = xx|>xx. Each of
-    the seven distinct chains is built once and dropped once the last sum
-    has read it. The shared A and B go in first, and the second sum is done
-    before C and D are built, so no more grade-4 values are alive at once
-    than when each sum built its own chains.
+    A = (xx|>x)|>x, B = x|>(xx|>x), C = (x|>xx)|>x and D = xx|>xx. C and D
+    are built inside their sum, so the two are never alive at once (peak RSS).
     """
     p = lambda a, b: prelie_left(alg, a, b)
     xx = p(x, x)
     xx_x, x_xx = p(xx, x), p(x, xx)
-    out = {2: Fraction(1, 2) * xx, 3: Fraction(1, 4) * xx_x + Fraction(1, 12) * x_xx}
-    chain = p(xx_x, x)
-    terms, reduced = 3 * chain, 2 * chain
-    chain = p(x, xx_x)
-    del xx_x
-    terms = terms + chain
-    reduced = Fraction(1, 12) * (reduced + chain)
-    del chain
-    terms = terms + p(x_xx, x)
-    del x_xx
-    terms = terms + p(xx, xx)
-    terms = Fraction(1, 24) * terms
-    return {**out, "4-terms": terms, "4-reduced": reduced}
+    a, b = p(xx_x, x), p(x, xx_x)
+    return {
+        2: Fraction(1, 2) * xx,
+        3: Fraction(1, 4) * xx_x + Fraction(1, 12) * x_xx,
+        "4-terms": Fraction(1, 24) * (3 * a + b + p(x_xx, x) + p(xx, xx)),
+        "4-reduced": Fraction(1, 12) * (2 * a + b),
+    }
 
 
 @_suite("magnus", ("standard-nc",))
@@ -633,17 +624,10 @@ def _suite_flows_bch(cfg: SuiteConfig, registry: dict, picked: list) -> list:
         dim = alg.one.dim
         units = [RatMatrix.unit(dim, i, j) for i in range(1, dim + 1) for j in range(1, dim + 1)]
         pairs = [(u, v) for u in units for v in units][: 16]
-        rng = random.Random(cfg.seed)
-        pairs += [(alg.random_element(rng), alg.random_element(rng)) for _ in range(20)]
-        # one Magnus series per distinct operand, at the order both checks read
-        omegas = {}
-        for x in itertools.chain.from_iterable(pairs):
-            if x not in omegas:
-                omegas[x] = prelie_magnus(alg, x, max(bch_order, law_order)).omega
+        pairs += SamplePlan("random", 20, cfg.seed).pairs(alg)
         for i, (x, y) in enumerate(pairs):
-            omega_x, omega_y = omegas[x], omegas[y]
-            checks.append(_tag(check_flows_bch(alg, x, y, bch_order, omega_x, omega_y), f"p{i}"))
-            checks.append(_tag(check_flows_product_law(alg, x, y, law_order, omega_y), f"p{i}"))
+            checks.append(_tag(check_flows_bch(alg, x, y, bch_order), f"p{i}"))
+            checks.append(_tag(check_flows_product_law(alg, x, y, law_order), f"p{i}"))
     return checks
 
 

@@ -154,10 +154,6 @@ class NCPoly(SparseCarrier):
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         self._match(other)
-        return self._times(other)
-
-    def _times(self, other: "NCPoly") -> "NCPoly":
-        """self * other, for an operand ``_match`` has accepted."""
         num = multiply_maps(self.num, other.num, self._commutative)
         return self._new(*_reduced(num, self.den * other.den))
 

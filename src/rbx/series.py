@@ -53,12 +53,6 @@ class LambdaSeries:
     def coefficient(self, k: int):
         return self.coeffs[k]
 
-    def truncate(self, order: int) -> "LambdaSeries":
-        """The same series cut at a lower (or equal) order."""
-        if not 0 <= order <= self.order:
-            raise ValueError(f"cannot truncate order {self.order} to {order}")
-        return LambdaSeries(self.carrier, self.coeffs[: order + 1])
-
     def _match(self, other: "LambdaSeries") -> None:
         if self.carrier is not other.carrier:
             raise ValueError("series carriers differ")

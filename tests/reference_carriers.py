@@ -1,9 +1,10 @@
 """Reference carriers: the plain ``Fraction`` implementations.
 
 These are the carrier kernels as they stood before the integer-numerator
-rewrite, kept verbatim as the oracle for the differential tests in
+rewrite, kept as the oracle for the differential tests in
 ``test_kernels.py``: the fast carriers must agree with them on every
-operation and render identically. They are not part of the package.
+operation and render identically. The polynomials have lost the degree cap
+the package no longer has. They are not part of the package.
 """
 
 from __future__ import annotations
@@ -77,55 +78,49 @@ def _render(terms: dict, fmt) -> str:
 class NCPoly:
     """Noncommutative polynomial: finitely supported map Word -> Fraction."""
 
-    __slots__ = ("terms", "cap")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, cap: int | None = None):
-        terms = _clean(dict(terms or {}))
-        if cap is not None:
-            terms = {w: c for w, c in terms.items() if len(w) <= cap}
-        self.terms = terms
-        self.cap = cap
+    def __init__(self, terms=None):
+        self.terms = _clean(dict(terms or {}))
 
     @classmethod
-    def zero(cls, cap: int | None = None) -> "NCPoly":
-        return cls({}, cap)
+    def zero(cls) -> "NCPoly":
+        return cls({})
 
     @classmethod
-    def one(cls, cap: int | None = None) -> "NCPoly":
-        return cls({Word(): Fraction(1)}, cap)
+    def one(cls) -> "NCPoly":
+        return cls({Word(): Fraction(1)})
 
     @classmethod
-    def letter(cls, a: int, cap: int | None = None) -> "NCPoly":
-        return cls({Word((a,)): Fraction(1)}, cap)
+    def letter(cls, a: int) -> "NCPoly":
+        return cls({Word((a,)): Fraction(1)})
 
     @classmethod
-    def from_word(cls, w: Word, coeff=1, cap: int | None = None) -> "NCPoly":
-        return cls({w: Fraction(coeff)}, cap)
+    def from_word(cls, w: Word, coeff=1) -> "NCPoly":
+        return cls({w: Fraction(coeff)})
 
     def _match(self, other: "NCPoly") -> None:
         if type(self) is not type(other):
             raise ValueError("polynomial kinds differ")
-        if self.cap != other.cap:
-            raise ValueError("degree caps differ")
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         self._match(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, Fraction(0)) + c
-        return type(self)(out, self.cap)
+        return type(self)(out)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
 
     def __neg__(self) -> "NCPoly":
-        return type(self)({w: -c for w, c in self.terms.items()}, self.cap)
+        return type(self)({w: -c for w, c in self.terms.items()})
 
     def __rmul__(self, scalar) -> "NCPoly":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         q = Fraction(scalar)
-        return type(self)({w: q * c for w, c in self.terms.items()}, self.cap)
+        return type(self)({w: q * c for w, c in self.terms.items()})
 
     def _combine(self, u: Word, v: Word) -> Word:
         return Word(u.letters + v.letters)
@@ -135,16 +130,14 @@ class NCPoly:
         out: dict = {}
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
-                if self.cap is not None and len(u) + len(v) > self.cap:
-                    continue
                 w = self._combine(u, v)
                 out[w] = out.get(w, Fraction(0)) + cu * cv
-        return type(self)(out, self.cap)
+        return type(self)(out)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        acc = type(self).one(self.cap)
+        acc = type(self).one()
         for _ in range(n):
             acc = acc * self
         return acc
@@ -152,7 +145,7 @@ class NCPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.cap == other.cap and self.terms == other.terms
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -174,12 +167,12 @@ class CPoly(NCPoly):
 
     __slots__ = ()
 
-    def __init__(self, terms=None, cap: int | None = None):
+    def __init__(self, terms=None):
         folded: dict = {}
         for w, c in dict(terms or {}).items():
             key = Word(sorted(w.letters))
             folded[key] = folded.get(key, Fraction(0)) + c
-        super().__init__(folded, cap)
+        super().__init__(folded)
 
     def _combine(self, u: Word, v: Word) -> Word:
         return Word(sorted(u.letters + v.letters))

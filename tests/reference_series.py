@@ -200,7 +200,14 @@ class _UnitizedElement:
 
 
 def bch_of_series(alg: RBAlgebra, a: LambdaSeries, b: LambdaSeries, product: str = "carrier") -> LambdaSeries:
-    """log(exp(a) exp(b)) for series with zero constant coefficient."""
+    """log(exp(a) exp(b)) for series with zero constant coefficient.
+
+    With product="double" the double product gets a formal unit through
+    ``_Unitized``, whose elements carry the carrier's zero as the body of the
+    unit and of grade 0, and every product with them is formed. That matches
+    the package's BCH in the double product only for an R with R(0) = 0:
+    otherwise x * 0 = xR(0) is not 0.
+    """
     if product == "carrier":
         return series_log(series_mul(series_exp(a), series_exp(b)))
     if product != "double":

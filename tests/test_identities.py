@@ -359,10 +359,10 @@ class TestFlows:
 
     def test_product_law(self):
         for x, y in ((E(1, 2), E(2, 1)), (X_SYM, E(1, 3) + E(3, 3))):
-            res = check_flows_product_law(M3, x, y, 4, _omega(y, 4))
+            res = check_flows_product_law(M3, x, y, 4)
             assert res.status == "pass", res.counterexample
 
     def test_bch_correspondence(self):
         x, y = E(1, 2), E(2, 1)
-        res = check_flows_bch(M3, x, y, 3, _omega(x, 3), _omega(y, 3))
+        res = check_flows_bch(M3, x, y, 3)
         assert res.status == "pass", res.counterexample

@@ -18,6 +18,7 @@ carrier and recursion coefficientwise.
 """
 
 import operator
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -25,14 +26,12 @@ from fractions import Fraction
 import pytest
 
 import reference_series as ref
-from rbx import identities
+from rbx import algebra, cli, identities
 from rbx.algebra import double_product, prelie_left
 from rbx.cli import SuiteConfig, default_models
 from rbx.identities import (
     bch_of_series,
     bogoliubov_decompose,
-    check_flows_bch,
-    check_flows_product_law,
     flows_product,
     prelie_magnus,
     prelie_magnus_of_series,
@@ -90,6 +89,8 @@ def test_flows_product_matches_the_reference(name):
         assert flows_product(alg, x, y, n, prelie_magnus(alg, y, n).omega) == want, n
         # a Magnus series of higher order gives the same product
         assert flows_product(alg, x, y, n, omega_y) == want, n
+    with pytest.raises(ValueError):  # a Magnus series below the order
+        flows_product(alg, x, y, 4, prelie_magnus(alg, y, 3).omega)
 
 
 @pytest.mark.parametrize("name", CARRIERS)
@@ -209,15 +210,6 @@ def test_series_mul_grade_skip_matches_the_full_product():
             assert series_mul(a, b, low_a, low_b) == series_mul(a, b)
 
 
-def test_truncate():
-    alg, x, y = _sources("matrix")
-    s = _mixed_source(alg, x, y, 5)
-    assert s.truncate(5) == s
-    assert s.truncate(2) == LambdaSeries(alg, (x, y, x))
-    with pytest.raises(ValueError):
-        s.truncate(6)
-
-
 def _count_prelie(monkeypatch, module) -> list:
     calls = [0]
     inner = module.prelie_left
@@ -260,18 +252,29 @@ def test_magnus_computes_each_tower_entry_once(monkeypatch):
     assert old[0] == 1008
 
 
-def test_flows_checks_reuse_the_given_magnus_series(monkeypatch):
-    alg, x, y = _sources("matrix")
-    omega_x = prelie_magnus(alg, x, 3).omega
-    omega_y = prelie_magnus(alg, y, 4).omega
-    magnus_calls = [0]
-    inner = identities.prelie_magnus
+def test_flows_checks_build_their_magnus_series_inside_a_law(monkeypatch, tmp_path):
+    # in a split run a series built outside a law is built by both processes;
+    # inside a law (algebra._share is None there) only by the one that
+    # evaluates the pair
+    forks, fork = [], os.fork
 
-    def counted(*args):
-        magnus_calls[0] += 1
-        return inner(*args)
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
 
-    monkeypatch.setattr(identities, "prelie_magnus", counted)
-    assert check_flows_bch(alg, x, y, 3, omega_x, omega_y).status == "pass"
-    assert check_flows_product_law(alg, x, y, 4, omega_y).status == "pass"
-    assert magnus_calls[0] == 0
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    shares = []
+    for module in (identities, cli):
+        inner = module.prelie_magnus
+
+        def recorded(*args, inner=inner):
+            shares.append(algebra._share)
+            return inner(*args)
+
+        monkeypatch.setattr(module, "prelie_magnus", recorded)
+    argv = ["verify", "--suite", "flows-bch", "--order", "2", "--dim", "2",
+            "--format", "json", "--output", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert forks == [os.getpid()]
+    assert shares and all(share is None for share in shares)
