@@ -283,15 +283,15 @@ def first_failure(model: str, samples, laws, names) -> str | None:
         _share = share
 
 
-def check_rb_law(alg: RBAlgebra, plan: SamplePlan, name: str | None = None) -> CheckResult:
+def check_rb_law(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
     """R(x)R(y) = R(R(x)y + xR(y) + theta xy) on all sampled pairs."""
 
     def laws(x, y):
         rx, ry = alg.rb(x), alg.rb(y)
         yield "rb", rx * ry, alg.rb(_star(alg, x, y, rx, ry))
 
-    name = name or f"rb-law/{alg.name}/{plan.mode}"
-    return CheckResult.of(name, "Eq. (RBR)", first_failure(alg.name, plan.pairs(alg), laws, "xy"))
+    bad = first_failure(alg.name, plan.pairs(alg), laws, "xy")
+    return CheckResult.of(f"rb-law/{alg.name}/{plan.mode}", "Eq. (RBR)", bad)
 
 
 def check_linearity(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
@@ -344,8 +344,8 @@ def check_double_assoc_and_hom(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
 
 def check_weight_rescale(alg: RBAlgebra, beta: Fraction, plan: SamplePlan) -> CheckResult:
     """beta*R satisfies the rb law with weight beta*theta."""
-    name = f"weight-rescale/{alg.name}/beta={beta}/{plan.mode}"
-    return check_rb_law(alg.rescaled(beta), plan, name=name)
+    check = check_rb_law(alg.rescaled(beta), plan)
+    return replace(check, name=f"weight-rescale/{alg.name}/beta={beta}/{plan.mode}")
 
 
 def check_prelie_axiom(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:

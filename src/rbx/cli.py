@@ -18,6 +18,7 @@ misconfiguration loudly, not to approximate.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import random
@@ -55,7 +56,6 @@ from .combinat import (
 )
 from .errors import ConfigError
 from .identities import (
-    atkinson_lemma,
     bogoliubov_decompose,
     check_atkinson,
     check_bogoliubov,
@@ -64,9 +64,7 @@ from .identities import (
     check_flows_product_law,
     check_nc_spitzer,
     prelie_magnus,
-    solve_fixed_point,
     spitzer_check_commutative,
-    SIDE_LEFT,
 )
 from .models import (
     commutative_standard_algebra,
@@ -551,15 +549,15 @@ def _suite_magnus(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     The lambda^4 oracle is the pre-Lie reduction of the recursion's own four
     chains; the commutative closed form theta^{-1} log(1 + theta F) fixes all
     signs (the spitzer suite re-verifies that closed form independently).
+    The laws build Omega and the chains on first read, once per process.
     """
     (_, alg), = picked
     x = standard_generator(len(alg.one.num), "nc")
-    omega = prelie_magnus(alg, x, 4).omega
-    expected = _magnus_expected(alg, x)
+    built = functools.cache(lambda: (prelie_magnus(alg, x, 4).omega, _magnus_expected(alg, x)))
     checks = []
     for grade, key in ((2, 2), (3, 3), (4, "4-terms"), (4, "4-reduced")):
         name = f"magnus/lambda{grade}" + ("/reduced" if key == "4-reduced" else "")
-        laws = lambda x: [(f"omega grade {key}", omega.coefficient(grade), expected[key])]
+        laws = lambda x: [(f"omega grade {key}", built()[0].coefficient(grade), built()[1][key])]
         bad = first_failure(alg.name, [(x,)], laws, "x")
         checks.append(CheckResult.of(name, "Eq. (pLMag)", bad))
     return checks
@@ -574,23 +572,20 @@ def _suite_bohnenblust_spitzer(cfg: SuiteConfig, registry: dict, picked: list) -
             targets.append(alg.rescaled(Fraction(2, 3) / alg.weight))
         for target in targets:
             rng, operand = random.Random(cfg.seed), _MODELS[key].operand
-            by_arity = [
-                check_bohnenblust_spitzer(target, tuple(operand(target, rng) for _ in range(n)))
-                for n in range(2, cfg.bs_arity + 1)
-            ]
-            checks += itertools.chain.from_iterable(zip(*by_arity))  # each form over all arities
+            for n in range(2, cfg.bs_arity + 1):
+                fs = tuple(operand(target, rng) for _ in range(n))
+                checks += check_bohnenblust_spitzer(target, fs)
     return checks
 
 
 @_suite("atkinson", _ALL)
 def _suite_atkinson(cfg: SuiteConfig, registry: dict, picked: list) -> list:
-    checks = []
     _, rnd = _plans(cfg)
-    for key, alg in picked:
-        lemma = atkinson_lemma(alg, rnd)  # does not involve the source: once per carrier
-        for i, x in enumerate(_sources(cfg, key, alg, 2)):
-            checks.append(_tag(check_atkinson(alg, x, cfg.order, lemma), f"x{i}"))
-    return checks
+    return [
+        check
+        for key, alg in picked
+        for check in check_atkinson(alg, _sources(cfg, key, alg, 2), cfg.order, rnd)
+    ]
 
 
 @_suite("bogoliubov", ("laurent",))
@@ -651,17 +646,7 @@ def _suite_yang_baxter(cfg: SuiteConfig, registry: dict, picked: list) -> list:
 @_suite("standard-symmetric", ("summation",), any_weight=False)
 def _suite_standard_symmetric(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     window = cfg.window
-    ks = sorted({min(3, window - 1), window // 2 + 1, window - 1})
-    # grade n of the left fixed point of the generator is R^(n) of it, for both kinds
-    comm = commutative_standard_algebra(window)
-    gen = standard_generator(window, "comm")
-    fixed = solve_fixed_point(comm, gen, SIDE_LEFT, 4)
-    nc = noncommutative_standard_algebra(window)
-    nc_fixed = solve_fixed_point(nc, standard_generator(window, "nc"), SIDE_LEFT, 4)
-    checks = []
-    for n in range(1, 5):
-        power = comm.rb(gen**n)
-        checks += [elementary_symmetric_check(n, k, fixed, nc_fixed, power) for k in ks]
+    checks = elementary_symmetric_check(window)
     (_, alg), = picked
     rng = random.Random(cfg.seed)
 

@@ -110,24 +110,19 @@ def solve_fixed_point(alg: RBAlgebra, x, side: str = SIDE_LEFT, order: int = 6) 
     return solve_fixed_point_series(alg, _constant_source(alg, x, order), side)
 
 
-def atkinson_lemma(alg: RBAlgebra, plan: SamplePlan) -> str | None:
-    """The first counterexample on plan's pairs to the splitting lemma
-    R(a)Rtilde(b) = R(a Rtilde(b)) + Rtilde(R(a) b), or None when it holds."""
+def check_atkinson(alg: RBAlgebra, sources, order: int, plan: SamplePlan) -> list:
+    """Factorization fh = 1 - lambda theta fxh and its inverse form for each
+    source x, one check per source, and the splitting lemma
+    R(a)Rtilde(b) = R(a Rtilde(b)) + Rtilde(R(a) b) on plan's pairs. The lemma
+    does not involve x: it runs once, before the sources, and a source whose
+    factorization holds carries the lemma's verdict."""
+    theta = alg.weight
+    one_s = LambdaSeries.one(alg, order)
 
-    def laws(a, b):
+    def lemma(a, b):
         tb = tilde_operator(alg, b)
         ra = alg.rb(a)
         yield "lemma", ra * tb, alg.rb(a * tb) + tilde_operator(alg, ra * b)
-
-    return first_failure(alg.name, plan.pairs(alg), laws, "ab")
-
-
-def check_atkinson(alg: RBAlgebra, x, order: int, lemma: str | None) -> CheckResult:
-    """Factorization fh = 1 - lambda theta fxh, its inverse form, and the
-    splitting lemma. The lemma does not involve x, so the caller passes its
-    `atkinson_lemma(alg, plan)` outcome, once for all sources."""
-    theta = alg.weight
-    one_s = LambdaSeries.one(alg, order)
 
     def laws(x):
         f = solve_fixed_point(alg, x, SIDE_LEFT, order)
@@ -137,8 +132,12 @@ def check_atkinson(alg: RBAlgebra, x, order: int, lemma: str | None) -> CheckRes
         lhs = series_inverse(f) * series_inverse(h)
         yield from _grades("f^-1h^-1=1+th*x", lhs, one_s + theta * lam_x)
 
-    bad = first_failure(alg.name, [(x,)], laws, "x") or lemma
-    return CheckResult.of(f"atkinson/{alg.name}/N={order}", "Eq. (Atkins)", bad)
+    lemma_bad = first_failure(alg.name, plan.pairs(alg), lemma, "ab")
+    checks = []
+    for i, x in enumerate(sources):
+        bad = first_failure(alg.name, [(x,)], laws, "x") or lemma_bad
+        checks.append(CheckResult.of(f"atkinson/{alg.name}/N={order}/x{i}", "Eq. (Atkins)", bad))
+    return checks
 
 
 # ---------------------------------------------------------------------------

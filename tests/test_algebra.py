@@ -29,7 +29,6 @@ from rbx.algebra import (
 from rbx.cli import SuiteConfig, default_models
 from rbx.errors import ConfigError
 from rbx.identities import (
-    atkinson_lemma,
     check_atkinson,
     check_bogoliubov,
     check_bohnenblust_spitzer,
@@ -513,10 +512,46 @@ class TestFirstFailureFork:
         assert broken == run({0}, doubled) and broken[0] == 1
         assert len(forks) == 2
 
+    def test_no_carrier_product_or_r_runs_outside_a_law(self, forks, monkeypatch, tmp_path):
+        """In a split `--suite all`, this process forms no carrier product and
+        applies no registry operator outside a law (inside one, algebra._share
+        is None), so neither process repeats work whose law the other one
+        evaluates. Every suite runs once, inside the split: no serial rerun."""
+        outside = []
+
+        def watched(fn, name):
+            def call(*args):
+                if algebra._share is not None:
+                    outside.append(name)
+                return fn(*args)
+
+            return call
+
+        for cls in (models.RatMatrix, models.LaurentElement, models.PolyFunction,
+                    models.SeqElement, NCPoly):
+            monkeypatch.setattr(cls, "__mul__", watched(cls.__mul__, cls.__name__))
+        for name in ("triangular_projection", "laurent_pole_projection", "standard_sum_operator",
+                     "riemann_integral"):
+            monkeypatch.setattr(models, name, watched(getattr(models, name), name))
+        entered = []
+        for name, suite in cli._SUITE_TABLE.items():
+            def run(*args, name=name, suite=suite):
+                entered.append((name, algebra._share is not None))
+                return suite(*args)
+
+            monkeypatch.setitem(cli._SUITE_TABLE, name, run)
+        argv = ["verify", "--suite", "all", "--trials", "5", "--order", "3", "--window", "5",
+                "--dim", "2", "--alphabet", "2", "--bs-arity", "3", "--format", "json",
+                "--output", str(tmp_path / "report.json")]
+        assert cli.main(argv) == 0
+        assert forks == [os.getpid()]
+        assert entered == [(name, True) for name in cli.SUITES]
+        assert outside == []
+
     # the suites whose split parent may apply R as often as a serial run, and why
     UNSHARED = {
         "shuffle": "its laws are on words and apply no registry carrier's R",
-        "magnus": "its Magnus series are built outside the laws, so by both processes",
+        "magnus": "its four laws read one Magnus series, which each process builds once",
     }
 
     def test_the_parent_applies_r_at_most_0_6_times_as_often_as_a_serial_run(
@@ -598,7 +633,7 @@ _BROKEN = [
     ("modified-ybe", "matrix3", lambda: check_modified_ybe(_doubled(M3), _RND)),
     ("aybe", "tensor-cube[2]", lambda: aybe_check(
         TensorR(((RatMatrix.unit(2, 1, 1), RatMatrix.unit(2, 1, 1)),)))),
-    ("atkinson", "matrix3", lambda: check_atkinson(_D3, _X, 3, atkinson_lemma(_D3, EX))),
+    ("atkinson", "matrix3", lambda: check_atkinson(_D3, [_X], 3, EX)[0]),
     ("bogoliubov", "laurent[16,16]", lambda: check_bogoliubov(_LAURENT, _L_X)),
     ("spitzer", "summation[W=5]", lambda: spitzer_check_commutative(_S5, _S5.one, 3)),
     ("nc-spitzer", "matrix3", lambda: check_nc_spitzer(_doubled(M3), _X, 3)),

@@ -218,7 +218,7 @@ class TestRunSuite:
         assert report.failed == 0
         carriers = sorted({c.name.split("/")[1] for c in report.checks})
         assert len(report.checks) == 2 * len(carriers) == 14
-        # two sources per carrier share one pass of the lemma over the pairs
+        # check_atkinson runs the lemma over the pairs once for both sources of a carrier
         assert sorted(calls) == carriers
 
     def test_weight_rescale_refuses_weight_zero_models(self):

@@ -12,7 +12,6 @@ from rbx.combinat import Permutation
 from rbx.errors import ConfigError
 from rbx.identities import (
     _log_closed_form,
-    atkinson_lemma,
     bch_of_series,
     bogoliubov_decompose,
     check_atkinson,
@@ -91,18 +90,20 @@ class TestAtkinson:
             ),
         ]
         for alg, x in cases:
-            res = check_atkinson(alg, x, 4, atkinson_lemma(alg, EX))
+            (res,) = check_atkinson(alg, [x], 4, EX)
+            assert res.name == f"atkinson/{alg.name}/N=4/x0"
             assert res.status == "pass", res.counterexample
 
-    def test_precomputed_lemma_outcome_is_reported(self):
+    def test_a_failing_lemma_fails_every_source(self):
+        # at source 0 both fixed points are 1, so the factorization holds for
+        # any R; 2R is no Rota-Baxter operator, so the splitting lemma fails
         plan = SamplePlan("random", 5, 1)
-        assert atkinson_lemma(M3, plan) is None
-        assert check_atkinson(M3, X_SYM, 3, None).status == "pass"
-        res = check_atkinson(M3, X_SYM, 3, "lemma a=0; b=0")
-        assert (res.status, res.counterexample) == ("fail", "lemma a=0; b=0")
-        # a splitting that is not a Rota-Baxter pair breaks the lemma
         doubled = replace(M3, rb=lambda m: 2 * M3.rb(m))
-        assert atkinson_lemma(doubled, plan).startswith("model=matrix3; law=lemma; a=")
+        checks = check_atkinson(doubled, [M3.zero, M3.zero], 3, plan)
+        assert [c.name for c in checks] == ["atkinson/matrix3/N=3/x0", "atkinson/matrix3/N=3/x1"]
+        (bad,) = {c.counterexample for c in checks}
+        assert bad.startswith("model=matrix3; law=lemma; a=")
+        assert [c.status for c in check_atkinson(M3, [M3.zero, X_SYM], 3, plan)] == ["pass"] * 2
 
 
 class TestSpitzerCommutative:

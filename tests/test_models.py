@@ -34,15 +34,6 @@ from rbx.models import (
 from rbx.polynomials import CPoly, NCPoly, Word
 
 
-def _symmetric_inputs(window: int) -> tuple:
-    """The commutative carrier, its generator, and the left fixed points of
-    the generator to grade 4 in both standard algebras."""
-    comm, gen = commutative_standard_algebra(window), standard_generator(window)
-    nc, nc_gen = noncommutative_standard_algebra(window), standard_generator(window, "nc")
-    fixed = solve_fixed_point(comm, gen, SIDE_LEFT, 4)
-    return comm, gen, fixed, solve_fixed_point(nc, nc_gen, SIDE_LEFT, 4)
-
-
 def _rb_law_holds(alg, x, y) -> bool:
     theta = alg.weight
     lhs = alg.rb(x) * alg.rb(y)
@@ -229,21 +220,10 @@ class TestStandardAlgebra:
                 iterated = alg.rb(iterated * gen)
 
     def test_elementary_symmetric_check_passes(self):
-        comm, gen, fixed, nc_fixed = _symmetric_inputs(6)
-        for n in (1, 2, 3):
-            power = comm.rb(gen**n)
-            for k in (3, 5):
-                assert elementary_symmetric_check(n, k, fixed, nc_fixed, power).status == "pass"
-
-    def test_elementary_symmetric_check_bounds(self):
-        comm, gen, fixed, nc_fixed = _symmetric_inputs(10)
-        power = comm.rb(gen)  # never read: each call is refused first
-        with pytest.raises(ConfigError, match="order must be >= 1"):
-            elementary_symmetric_check(0, 3, fixed, nc_fixed, power)
-        with pytest.raises(ConfigError, match="slot 10 needs window > 10"):
-            elementary_symmetric_check(1, 10, fixed, nc_fixed, power)
-        with pytest.raises(ConfigError, match="order 5 exceeds the fixed point's order 4"):
-            elementary_symmetric_check(5, 3, fixed, nc_fixed, power)
+        checks = elementary_symmetric_check(6)
+        names = [f"standard-symmetric/n={n}/k={k}" for n in range(1, 5) for k in (3, 4, 5)]
+        assert [c.name for c in checks] == names
+        assert [c.counterexample for c in checks] == [None] * 12
 
     def test_rb_law_noncommutative(self):
         alg = noncommutative_standard_algebra(5)

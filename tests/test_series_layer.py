@@ -18,7 +18,6 @@ carrier and recursion coefficientwise.
 """
 
 import operator
-import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -26,7 +25,7 @@ from fractions import Fraction
 import pytest
 
 import reference_series as ref
-from rbx import algebra, cli, identities
+from rbx import identities
 from rbx.algebra import double_product, prelie_left
 from rbx.cli import SuiteConfig, default_models
 from rbx.identities import (
@@ -250,31 +249,3 @@ def test_magnus_computes_each_tower_entry_once(monkeypatch):
     old = _count_prelie(monkeypatch, ref)
     ref.prelie_magnus(alg, x, 8)
     assert old[0] == 1008
-
-
-def test_flows_checks_build_their_magnus_series_inside_a_law(monkeypatch, tmp_path):
-    # in a split run a series built outside a law is built by both processes;
-    # inside a law (algebra._share is None there) only by the one that
-    # evaluates the pair
-    forks, fork = [], os.fork
-
-    def counted_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    shares = []
-    for module in (identities, cli):
-        inner = module.prelie_magnus
-
-        def recorded(*args, inner=inner):
-            shares.append(algebra._share)
-            return inner(*args)
-
-        monkeypatch.setattr(module, "prelie_magnus", recorded)
-    argv = ["verify", "--suite", "flows-bch", "--order", "2", "--dim", "2",
-            "--format", "json", "--output", str(tmp_path / "report.json")]
-    assert cli.main(argv) == 0
-    assert forks == [os.getpid()]
-    assert shares and all(share is None for share in shares)

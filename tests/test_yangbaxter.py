@@ -20,7 +20,6 @@ from rbx.yangbaxter import (
     check_modified_ybe,
     check_operator_ybe,
     kron,
-    rb_from_tensor,
     tensor_rb_algebra,
 )
 
@@ -79,14 +78,16 @@ class TestAYBE:
 
 class TestInducedOperator:
     def test_hand_values(self):
-        rb = rb_from_tensor(NIL)
+        rb = tensor_rb_algebra(NIL).rb
         assert rb(E2(2, 1)) == E2(1, 2)
         assert rb(E2(1, 1)) == RatMatrix.zeros(2)
         assert rb(E2(2, 2)) == RatMatrix.zeros(2)
 
-    def test_failing_tensor_rejected(self):
-        with pytest.raises(ValueError):
-            rb_from_tensor(TensorR(((E2(1, 1), E2(1, 1)),)))
+    def test_a_tensor_off_the_aybe_fails_the_operator_checks(self):
+        # E11 (x) E11 induces x -> E11 x E11, which is not Rota-Baxter of weight 0
+        alg = tensor_rb_algebra(TensorR(((E2(1, 1), E2(1, 1)),)))
+        assert check_rb_law(alg, EX).status == "fail"
+        assert check_dendriform(alg, EX).status == "fail"
 
     def test_induced_algebra_is_weight_zero_rota_baxter(self):
         alg = tensor_rb_algebra(NIL)
