@@ -74,7 +74,10 @@ class RatMatrix(DenseCarrier):
         return m
 
     def _like(self, nums: list, den: int) -> "RatMatrix":
-        return RatMatrix._of(self.dim, nums, den)
+        m = object.__new__(RatMatrix)
+        m.dim = self.dim
+        m.num, m.den = lowest_terms(nums, den)
+        return m
 
     def _match_shape(self, other: "RatMatrix") -> None:
         if other.dim != self.dim:
@@ -103,7 +106,7 @@ class RatMatrix(DenseCarrier):
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         self._match(other)
         n = self.dim
-        return RatMatrix._of(n, _product_kernel(n)(self.num, other.num), self.den * other.den)
+        return self._like(_product_kernel(n)(self.num, other.num), self.den * other.den)
 
     def __str__(self) -> str:
         rows = ("[" + ", ".join(str(v) for v in row) + "]" for row in self.rows)

@@ -77,21 +77,34 @@ def randint(rng, a: int, b: int) -> int:
     return a + r
 
 
+@functools.cache
+def _reduced_pairs(top: int, den_top: int) -> tuple:
+    """Row p + top, column q - 1: p / q in lowest terms, as the pair (p, q)."""
+    qs = range(1, den_top + 1)
+    return tuple(tuple(Fraction(p, q).as_integer_ratio() for q in qs) for p in range(-top, top + 1))
+
+
 def draw_rationals(rng, count: int, top: int, den_top: int) -> tuple:
     """``count`` draws of randint(-top, top) / randint(1, den_top), as
     ``over_common_denominator`` gives them, with no ``Fraction`` built.
 
     The generator is called in the same order as by
     ``Fraction(rng.randint(-top, top), rng.randint(1, den_top))``, so a seed
-    yields the same element either way.
+    yields the same element either way: ``randint``'s rejection loop runs inline.
     """
+    n = 2 * top + 1
+    kn, km = n.bit_length(), den_top.bit_length()
+    bits, rows = rng.getrandbits, _reduced_pairs(top, den_top)
     pairs = []
     for _ in range(count):
-        p = randint(rng, -top, top)
-        q = randint(rng, 1, den_top)
-        g = math.gcd(p, q)
-        pairs.append((p // g, q // g))
-    den = math.lcm(*(q for _, q in pairs))
+        r = bits(kn)
+        while r >= n:
+            r = bits(kn)
+        c = bits(km)
+        while c >= den_top:
+            c = bits(km)
+        pairs.append(rows[r][c])
+    den = math.lcm(*[q for _, q in pairs])
     return [p * (den // q) for p, q in pairs], den
 
 
@@ -167,11 +180,15 @@ class _Carrier:
         self._match_shape(other)
 
     def __add__(self, other):
-        self._match(other)
+        if type(other) is not type(self):
+            self._match(other)  # raises: another class
+        self._match_shape(other)
         return self._plus(other, 1)
 
     def __sub__(self, other):
-        self._match(other)
+        if type(other) is not type(self):
+            self._match(other)  # raises: another class
+        self._match_shape(other)
         return self._plus(other, -1)
 
     def __rmul__(self, scalar):
@@ -208,19 +225,19 @@ class DenseCarrier(_Carrier):
     __slots__ = ()
 
     def _plus(self, other, sign: int = 1):
-        """self + sign * other, for an operand ``_match`` has accepted."""
+        """self + sign * other, for an operand ``_match`` has accepted; one pass
+        adds and scales both to the lcm denominator, the sign in other's factor."""
         a, b, da, db = self.num, other.num, self.den, other.den
-        if da != db or len(a) != len(b):
-            pad = len(a) - len(b)
-            if pad > 0:
-                b = b + (0,) * pad
-            elif pad < 0:
-                a = a + (0,) * -pad
-            if da != db:
-                fa, fb, da = _over_lcm(da, db)
-                a = [c * fa for c in a]
-                b = [c * fb for c in b]
-        return self._like(list(map(operator.add if sign > 0 else operator.sub, a, b)), da)
+        pad = len(a) - len(b)
+        if pad > 0:
+            b = b + (0,) * pad
+        elif pad < 0:
+            a = a + (0,) * -pad
+        if da == db:
+            return self._like(list(map(operator.add if sign > 0 else operator.sub, a, b)), da)
+        fa, fb, den = _over_lcm(da, db)
+        fb *= sign
+        return self._like([x * fa + y * fb for x, y in zip(a, b)], den)
 
     def _scaled(self, n: int, d: int):
         """(n / d) * self."""

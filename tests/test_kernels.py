@@ -203,6 +203,7 @@ def _seq_kind(inner):
 KINDS = {
     "matrix2": (Matrix, 2),
     "matrix3": (Matrix, 3),
+    "matrix4": (Matrix, 4),
     "laurent": (Laurent, None),
     "polyfunction": (Poly, None),
     "ncpoly": (NC, None),
@@ -276,6 +277,30 @@ def test_products_with_a_zero_operand(name):
         fast, reference = (fz * fa, rz * ra) if zero_left else (fa * fz, ra * rz)
         _agree(kind, fast, reference)
         assert type(fast) is type(fa) and fast == kind.fast(None, {})
+
+
+# PolyFunction differences a - b over unequal denominators, of unequal
+# lengths or with top coefficients that cancel, and the degree and
+# denominator of a - b: the one pass of the sum pads, scales to the lcm and
+# signs, and the result must still be trimmed and reduced
+F = Fraction
+POLY_DIFFERENCES = (
+    ([F(1, 2), F(2, 3)], [F(1, 4), F(-1, 3), F(3, 4), 7], 3, 4),
+    ([F(1, 6), F(1, 2), F(5, 3)], [F(1, 4), F(3, 4), F(5, 3)], 1, 12),
+    ([1, F(1, 2), F(1, 3)], [F(1, 5), F(1, 2), F(1, 3)], 0, 5),
+    ([3, 0, 1], [F(1, 6), 0, 1], 0, 6),
+    ([], [F(1, 2), F(1, 3)], 1, 6),
+)
+
+
+@pytest.mark.parametrize("a, b, degree, den", POLY_DIFFERENCES)
+def test_polyfunction_differences_over_unequal_denominators(a, b, degree, den):
+    fa, fb, ra, rb = Poly.fast(None, a), Poly.fast(None, b), Poly.ref(None, a), Poly.ref(None, b)
+    assert fa.den != fb.den
+    for fast, reference in ((fa - fb, ra - rb), (fb - fa, rb - ra), (fa + fb, ra + rb)):
+        _agree(Poly, fast, reference)
+    for diff in (fa - fb, fb - fa):
+        assert (diff.degree, diff.den) == (degree, den)
 
 
 def test_summation_window_with_mixed_denominators():
@@ -456,15 +481,26 @@ def _standard_draws(poly, window):
 
 
 WIDE = laurent_algebra(12, 12)  # the CLI's Laurent carrier at --order 3
+
+
+def _matrix_sampler(n):
+    return matrix_algebra(n).random_element, lambda rng: RatMatrix(
+        [_fractions(rng, n, 3, 3) for _ in range(n)]
+    )
+
+
+def _summation_sampler(window):
+    return summation_algebra(window).random_element, lambda rng: SeqElement(
+        _fractions(rng, window, 4, 3)
+    )
+
+
 SAMPLERS = {
-    "matrix3": (
-        matrix_algebra(3).random_element,
-        lambda rng: RatMatrix([_fractions(rng, 3, 3, 3) for _ in range(3)]),
-    ),
-    "summation": (
-        summation_algebra(10).random_element,
-        lambda rng: SeqElement(_fractions(rng, 10, 4, 3)),
-    ),
+    # every --dim, and the default --window with both of its bounds
+    **{f"matrix{n}": _matrix_sampler(n) for n in (2, 3, 4)},
+    "summation": _summation_sampler(10),
+    "summation3": _summation_sampler(3),
+    "summation16": _summation_sampler(16),
     "integration": (
         integration_algebra(24).random_element,
         lambda rng: PolyFunction(_fractions(rng, 4, 3, 3), 24),

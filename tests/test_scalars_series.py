@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbx.models import RatMatrix, matrix_algebra
-from rbx.scalars import bernoulli, parse_rational, randint
+from rbx.scalars import (
+    bernoulli,
+    draw_rationals,
+    over_common_denominator,
+    parse_rational,
+    randint,
+)
 from rbx.series import LambdaSeries, series_exp, series_inverse, series_log
 
 M2 = matrix_algebra(2)
@@ -130,10 +136,11 @@ def test_linear_structure():
     assert (-a) + a == LambdaSeries.zero(M2, 2)
 
 
-# every range a sampler draws from: draw_rationals for matrix, integration
-# (-3..3 over 1..3), laurent (-3..3 over 1..2) and summation (-4..4 over
-# 1..3); the standard windows (-2..2, 1..2 and slots 1..W-1 for W = 3..16);
-# and the standard operand (indices 0..3 and 0..4)
+# every range a sampler draws from: the ranges of draw_rationals, whose
+# inline loop is randint's, for matrix, integration (-3..3 over 1..3), laurent
+# (-3..3 over 1..2) and summation (-4..4 over 1..3); the standard windows
+# (-2..2, 1..2 and slots 1..W-1 for W = 3..16); and the standard operand
+# (indices 0..3 and 0..4)
 SAMPLER_RANGES = [(-3, 3), (1, 3), (1, 2), (-4, 4), (-2, 2), (0, 3), (0, 4)] + [
     (1, top) for top in range(2, 16)
 ]
@@ -143,4 +150,15 @@ def test_randint_draws_what_random_randint_draws():
     for (a, b), seed in itertools.product(SAMPLER_RANGES, range(50)):
         ours, theirs = random.Random(seed), random.Random(seed)
         assert [randint(ours, a, b) for _ in range(20)] == [theirs.randint(a, b) for _ in range(20)]
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("top, den_top", [(3, 3), (3, 2), (4, 3), (1, 1), (9, 9), (0, 5)])
+def test_draw_rationals_draws_what_fraction_of_randint_draws(top, den_top):
+    for count, seed in itertools.product((0, 1, 10), range(30)):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        fracs = [
+            Fraction(theirs.randint(-top, top), theirs.randint(1, den_top)) for _ in range(count)
+        ]
+        assert draw_rationals(ours, count, top, den_top) == over_common_denominator(fracs)
         assert ours.getstate() == theirs.getstate()
