@@ -124,20 +124,15 @@ def _star(alg: RBAlgebra, x, y, rx, ry):
 
 def tilde_operator(alg: RBAlgebra, x):
     """The complementary operator -theta*x - R(x), Rota-Baxter of the same weight."""
-    return _tilde(alg, x, alg.rb(x))
-
-
-def _tilde(alg: RBAlgebra, x, rx):
-    """tilde_operator with rx = R(x) already computed, as (-theta)x - R(x): at
-    weight -1 the scalar multiple is x itself and at weight 0 it is not formed,
-    so one carrier pass."""
-    return (-alg.weight) * x - rx if alg.weight else -rx
+    return _r_pair(alg, x)[1]
 
 
 def _r_pair(alg: RBAlgebra, v) -> tuple:
-    """(R(v), Rtilde(v)), with R applied once, for an operand read again."""
+    """(R(v), Rtilde(v)), with R applied once, for an operand read again;
+    Rtilde(v) = (-theta)v - R(v) takes one carrier pass: at weight -1 the
+    scalar multiple is v itself and at weight 0 it is not formed."""
     rv = alg.rb(v)
-    return rv, _tilde(alg, v, rv)
+    return rv, (-alg.weight) * v - rv if alg.weight else -rv
 
 
 def prelie_left(alg: RBAlgebra, a, b):
@@ -310,31 +305,30 @@ def check_linearity(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
 
 def check_double_assoc_and_hom(alg: RBAlgebra, plan: SamplePlan) -> CheckResult:
     """The double product is associative; R is a homomorphism from it, the
-    tilde operator an anti-homomorphism; and R is Rota-Baxter for it too."""
-    rb, theta = alg.rb, alg.weight
+    tilde operator an anti-homomorphism; and R is Rota-Baxter for it too.
+    Each double product u * v is R(u)v - uRtilde(v), by bilinearity alone."""
+    rb, pair = alg.rb, lambda v: _r_pair(alg, v)
+    star = lambda u, ru, v, tv: ru * v - u * tv  # tv = Rtilde(v), as in identities
 
     def triple_laws(x, y, z):
-        rx, ry, rz = rb(x), rb(y), rb(z)
-        xy, yz = _star(alg, x, y, rx, ry), _star(alg, y, z, ry, rz)
-        yield "assoc", _star(alg, xy, z, rb(xy), rz), _star(alg, x, yz, rx, rb(yz))
+        rx, (ry, ty), (_, tz) = rb(x), pair(y), pair(z)
+        xy, yz = star(x, rx, y, ty), star(y, ry, z, tz)
+        yield "assoc", star(xy, rb(xy), z, tz), star(x, rx, yz, pair(yz)[1])
 
     def pair_laws(x, y):
-        rx, ry = rb(x), rb(y)
-        # R(x)y, xR(y) and R(x)R(y) recur below, so each is formed once
-        rx_y, x_ry = rx * y, x * ry
-        xy = rx_y + x_ry + theta * (x * y) if theta else rx_y + x_ry
-        rxy = rb(xy)
-        rx_ry = rx * ry
+        (rx, tx), (ry, ty) = pair(x), pair(y)
+        xy = star(x, rx, y, ty)
+        rxy, txy = pair(xy)
+        rx_ry, tx_ty = rx * ry, tx * ty
         yield "hom", rxy, rx_ry
-        yield "anti-hom", _tilde(alg, xy, rxy), -(_tilde(alg, x, rx) * _tilde(alg, y, ry))
-        # rb law with the carrier product replaced by the double product
-        rrx, rry = rb(rx), rb(ry)
-        lhs, rx_star_y, x_star_ry = rrx * ry + rx * rry, rrx * y + rx_ry, rx_ry + x * rry
-        if theta:
-            lhs = lhs + theta * rx_ry
-            rx_star_y, x_star_ry = rx_star_y + theta * rx_y, x_star_ry + theta * x_ry
-        inner = rx_star_y + x_star_ry
-        yield "rb-for-double", lhs, rb(inner + theta * xy if theta else inner)
+        yield "anti-hom", txy, -tx_ty
+        # rb law with the carrier product replaced by the double product. Its
+        # argument R(x) * y + x * R(y) + theta x * y reads both products above:
+        # R(x) * y + theta x * y = Rtilde(x)Rtilde(y) - Rtilde(R(x))y and
+        # x * R(y) = R(x)R(y) - xRtilde(R(y))
+        (rrx, trrx), (_, trry) = pair(rx), pair(ry)
+        inner = tx_ty - trrx * y + (rx_ry - x * trry)
+        yield "rb-for-double", star(rx, rrx, ry, trry), rb(inner)
 
     bad = first_failure(alg.name, plan.triples(alg), triple_laws, "xyz") or first_failure(
         alg.name, plan.pairs(alg), pair_laws, "xy"

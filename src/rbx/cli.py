@@ -616,9 +616,7 @@ def _suite_flows_bch(cfg: SuiteConfig, registry: dict, picked: list) -> list:
     bch_order = min(cfg.order, 3)
     law_order = min(cfg.order, 4)
     for _, alg in picked:
-        dim = alg.one.dim
-        units = [RatMatrix.unit(dim, i, j) for i in range(1, dim + 1) for j in range(1, dim + 1)]
-        pairs = [(u, v) for u in units for v in units][: 16]
+        pairs = [(u, v) for u in alg.basis for v in alg.basis][: 16]
         pairs += SamplePlan("random", 20, cfg.seed).pairs(alg)
         for i, (x, y) in enumerate(pairs):
             checks.append(_tag(check_flows_bch(alg, x, y, bch_order), f"p{i}"))

@@ -401,8 +401,6 @@ class SeqElement(DenseCarrier):
         commutative = itertools.repeat(self.poly._commutative)
         return self._over(list(map(multiply_maps, a, b, commutative)), den)
 
-    __hash__ = None
-
     def __str__(self) -> str:
         return "(" + "; ".join(str(a) for a in self.entries) + ")"
 

@@ -248,9 +248,6 @@ class DenseCarrier(_Carrier):
     def __neg__(self):
         return self._scaled(-1, 1)
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
 
 class SparseCarrier(_Carrier):
     """Arithmetic shared by carriers stored as a numerator map over ``den``.
@@ -291,5 +288,3 @@ class SparseCarrier(_Carrier):
 
     def __neg__(self):
         return self._new({k: -c for k, c in self.num.items()}, self.den)
-
-    __hash__ = None

@@ -124,6 +124,29 @@ class TestDoubleProduct:
                 up, down = x * M3.rb(y), M3.rb(x) * y
                 assert up + down + M3.weight * (x * y) == double_product(M3, x, y)
 
+    def test_the_check_forms_each_double_product_in_two_products(self, monkeypatch):
+        # exhaustive matrix3, 729 triples: R on x, y, z, x*y and y*z, and four
+        # double products R(u)v - uRtilde(v) of two carrier products each (12
+        # as R(u)v + uR(v) + theta uv). 81 pairs: R on x, y, x*y, R(x), R(y)
+        # and the inner sum; x*y and R(x)*R(y) take two products each, and
+        # R(x)R(y), Rtilde(x)Rtilde(y), Rtilde(R(x))y and xRtilde(R(y)) one: 8.
+        # R: 729 * 5 + 81 * 6 = 4131; products: 729 * 8 + 81 * 8 = 6480 (9477)
+        calls = {"R": 0, "*": 0}
+        mul = RatMatrix.__mul__
+
+        def counted_mul(a, b):
+            calls["*"] += 1
+            return mul(a, b)
+
+        def counted_rb(m):
+            calls["R"] += 1
+            return M3.rb(m)
+
+        monkeypatch.setattr(RatMatrix, "__mul__", counted_mul)
+        check = check_double_assoc_and_hom(replace(M3, rb=counted_rb), EX)
+        assert check.status == "pass"
+        assert calls["R"] == 4131 and calls["*"] <= 6480
+
     def test_integration_double_product_drops_weight_term(self):
         alg = integration_algebra()
         p, q = alg.basis[1], alg.basis[2]

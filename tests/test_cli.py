@@ -15,7 +15,7 @@ from rbx.algebra import SamplePlan
 from rbx.cli import SUITES, SuiteConfig, main, parse_config, run_suite
 from rbx.errors import ConfigError
 from rbx.models import RatMatrix, matrix_algebra, noncommutative_standard_algebra
-from rbx.report import Report
+from rbx.report import CheckResult, Report, emit_report
 from test_algebra import ORACLE_SHA256
 
 FAST = ["--trials", "5"]
@@ -477,3 +477,12 @@ def test_empty_report_renders():
     assert report.passed == report.failed == 0
     assert report.to_text().startswith("suite: none")
     assert json.loads(report.to_json())["checks"] == []
+
+
+def test_report_guards():
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        emit_report(Report(suite="none", params={}), "xml")
+    with pytest.raises(ValueError, match="^bad status 'skip'$"):
+        CheckResult("rb-law/x", "skip", "Eq. (RBR)")
+    with pytest.raises(ValueError, match="^a failing check must carry a counterexample$"):
+        CheckResult("rb-law/x", "fail", "Eq. (RBR)")

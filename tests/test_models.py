@@ -102,6 +102,11 @@ class TestLaurent:
         with pytest.raises(ConfigError):
             a * b
 
+    def test_bounds_must_be_nonnegative(self):
+        for bounds in ((-1, 6), (4, -1)):
+            with pytest.raises(ValueError, match="^bounds must be nonnegative$"):
+                LaurentElement({0: 1}, *bounds)
+
     def test_high_exponents_drop_silently(self):
         a = LaurentElement({4: 1}, 4, 6)
         assert (a * a).coeffs == {}
@@ -163,8 +168,12 @@ class TestSeqElement:
                 1.5 * w
 
     def test_windows_are_unhashable(self):
+        # as is every carrier: each defines == by value and no hash
         assert SeqElement.__hash__ is None
-        for s in (SeqElement([Fraction(1)]), standard_generator(3)):
+        others = (RatMatrix.identity(2), PolyFunction([1, Fraction(1, 2)]))
+        others += (laurent_algebra().one, NCPoly.one(), CPoly.one())
+        for s in (SeqElement([Fraction(1)]), standard_generator(3), *others):
+            assert type(s).__hash__ is None
             with pytest.raises(TypeError):
                 hash(s)
 
@@ -187,6 +196,10 @@ class TestSummation:
     def test_finite_difference_inverts(self):
         s = SeqElement([Fraction(3), Fraction(-1), Fraction(4), Fraction(1)])
         assert finite_difference(summation_algebra(4).rb(s)) == SeqElement(s.entries[:-1])
+
+    def test_finite_difference_needs_two_slots(self):
+        with pytest.raises(ValueError, match="^empty window$"):
+            finite_difference(SeqElement([Fraction(3)]))
 
     def test_rb_law_on_basis_pairs(self):
         alg = summation_algebra(6)

@@ -29,6 +29,8 @@ class TestWord:
     def test_str(self):
         assert str(Word((1, 2, 3))) == "x1x2x3"
         assert str(Word()) == "1"
+        assert repr(Word((1, 2))) == "Word((1, 2))"
+        assert repr(Word()) == "Word(())"
 
     def test_hashable(self):
         assert len({Word((1,)), Word((1,)), Word((2,))}) == 2
@@ -56,6 +58,8 @@ class TestNCPoly:
         assert str(NCPoly.one()) == "1"
         assert str(-NCPoly.letter(1)) == "-x1"
         assert str(NCPoly.letter(1) - NCPoly.letter(2)) == "x1 - x2"
+        assert repr(NCPoly.letter(1) - NCPoly.letter(2)) == "NCPoly(x1 - x2)"
+        assert repr(CPoly({Word((1, 1, 2)): Fraction(3)})) == "CPoly(3 x1^2x2)"
 
 
 class TestCPoly:

@@ -126,6 +126,21 @@ def test_log_requires_unit_head():
         series_exp(LambdaSeries.one(M2, 3))
 
 
+def test_series_guards():
+    with pytest.raises(ValueError, match="^a series needs at least the order-0 coefficient$"):
+        LambdaSeries(M2, ())
+    with pytest.raises(ValueError, match="^term index 4 outside order 3$"):
+        LambdaSeries.term(M2, 4, M2.one, 3)
+    s = LambdaSeries.one(M2, 3)
+    with pytest.raises(ValueError, match="^series carriers differ$"):
+        s + LambdaSeries.one(matrix_algebra(3), 3)
+    with pytest.raises(ValueError, match="^series orders differ$"):
+        s + LambdaSeries.one(M2, 2)
+    with pytest.raises(TypeError):
+        0.5 * s
+    assert (s == 1) is False
+
+
 def test_linear_structure():
     a = _series([1, 2, 3])
     b = _series([0, -1, Fraction(1, 2)])
